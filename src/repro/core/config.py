@@ -25,8 +25,6 @@ class MILRConfig:
         crc_bits: CRC width (8 or 32) used by the 2-D scheme.
         detection_batch: Number of PRNG rows used for per-layer detection
             inputs (1 matches the paper's partial-checkpoint cost analysis).
-        solver_rcond: ``rcond`` passed to least-squares solves (None keeps
-            NumPy's machine-precision default).
         prefer_partial_conv_recovery: If True, convolution layers whose full
             parameter solve would be under-determined (``G^2 < F^2 Z``) use
             2-D-CRC-based partial recoverability rather than storing dummy
@@ -49,7 +47,6 @@ class MILRConfig:
     crc_group_size: int = 4
     crc_bits: int = 8
     detection_batch: int = 1
-    solver_rcond: float | None = None
     prefer_partial_conv_recovery: bool = True
     always_store_conv_crc: bool = False
     bias_detection_uses_sum: bool = True

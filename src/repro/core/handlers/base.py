@@ -166,7 +166,6 @@ class LayerProtectionHandler:
         outputs: np.ndarray,
         store: "CheckpointStore",
         prng: "SeededTensorGenerator",
-        rcond: float | None = None,
     ) -> np.ndarray:
         """Reconstruct the layer's input from its output (backward pass)."""
         raise NotInvertibleError(
@@ -183,7 +182,6 @@ class LayerProtectionHandler:
         store: "CheckpointStore",
         prng: "SeededTensorGenerator",
         suspect_mask: Optional[np.ndarray] = None,
-        rcond: float | None = None,
     ) -> "SolveResult":
         """Solve ``R(x, y) = p`` for the layer parameters."""
         raise RecoveryError(

@@ -104,7 +104,7 @@ class BatchNormProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler)
     def is_self_contained(self, layer: BatchNorm, plan) -> bool:
         return True
 
-    def invert(self, layer: BatchNorm, plan, outputs, store, prng, rcond=None) -> np.ndarray:
+    def invert(self, layer: BatchNorm, plan, outputs, store, prng) -> np.ndarray:
         return layer.invert(outputs)
 
     def solve(
@@ -116,7 +116,6 @@ class BatchNormProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler)
         store,
         prng,
         suspect_mask: Optional[np.ndarray] = None,
-        rcond=None,
     ) -> SolveResult:
         """Per-channel affine regression on the stored dummy system.
 

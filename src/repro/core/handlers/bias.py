@@ -55,7 +55,7 @@ class BiasProtectionHandler(LayerProtectionHandler):
             return np.asarray([layer.get_weights().sum(dtype=np.float64)])
         return layer.get_weights().copy()
 
-    def invert(self, layer: Bias, plan, outputs, store, prng, rcond=None) -> np.ndarray:
+    def invert(self, layer: Bias, plan, outputs, store, prng) -> np.ndarray:
         return invert_bias(layer, outputs)
 
     def solve(
@@ -67,7 +67,6 @@ class BiasProtectionHandler(LayerProtectionHandler):
         store,
         prng,
         suspect_mask: Optional[np.ndarray] = None,
-        rcond=None,
     ):
         return solve_bias_parameters(layer, golden_input, golden_output)
 

@@ -165,8 +165,8 @@ class Conv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler):
             and plan.stores_crc_codes
         )
 
-    def invert(self, layer: Conv2D, plan, outputs, store, prng, rcond=None) -> np.ndarray:
-        return invert_conv(layer, plan, outputs, store, prng, rcond)
+    def invert(self, layer: Conv2D, plan, outputs, store, prng) -> np.ndarray:
+        return invert_conv(layer, plan, outputs, store, prng)
 
     def solve(
         self,
@@ -177,18 +177,15 @@ class Conv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler):
         store,
         prng,
         suspect_mask: Optional[np.ndarray] = None,
-        rcond=None,
     ):
         if plan.recovery_strategy is RecoveryStrategy.CONV_PARTIAL:
             if suspect_mask is None:
                 # Without localization information every weight is a suspect.
                 suspect_mask = np.ones(layer.get_weights().shape, dtype=bool)
             return solve_conv_parameters_partial(
-                layer, plan, golden_input, golden_output, suspect_mask, rcond
+                layer, plan, golden_input, golden_output, suspect_mask
             )
-        return solve_conv_parameters_full(
-            layer, plan, golden_input, golden_output, store, prng, rcond
-        )
+        return solve_conv_parameters_full(layer, plan, golden_input, golden_output, store, prng)
 
     # ------------------------------------------------------------------ #
     # Service repair chain (the CRC-guided bit-exact repair comes from

@@ -3,8 +3,9 @@
 Dense layers solve ``X @ W = Y`` (paper Sec. IV-A).  The planner stores a full
 self-contained dummy system (N PRNG input rows and their outputs) so the solve
 never has to trust an activation that travelled through another, possibly
-erroneous, layer; inversion pads the weight matrix with dummy parameter
-columns when ``P < N``.
+erroneous, layer.  That system is square, so recovery solves it by LU
+factorization.  Inversion pads the weight matrix with dummy parameter columns
+when ``P < N``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ __all__ = ["DenseProtectionHandler"]
 
 @register_handler(Dense)
 class DenseProtectionHandler(LayerProtectionHandler):
-    """Dense: self-contained dummy-row solve, dummy-column inversion."""
+    """Dense: self-contained square dummy-row system solved by LU, dummy-column inversion."""
 
     #: Dense solves are neighbour-independent (stored dummy system), but not
     #: as cheap as the stored-data-only repairs of rank 0.
@@ -105,8 +106,8 @@ class DenseProtectionHandler(LayerProtectionHandler):
         """Whether the stored dummy rows already form a complete system."""
         return plan.dummy_input_rows >= layer.features_in
 
-    def invert(self, layer: Dense, plan, outputs, store, prng, rcond=None) -> np.ndarray:
-        return invert_dense(layer, plan, outputs, store, prng, rcond)
+    def invert(self, layer: Dense, plan, outputs, store, prng) -> np.ndarray:
+        return invert_dense(layer, plan, outputs, store, prng)
 
     def solve(
         self,
@@ -117,8 +118,5 @@ class DenseProtectionHandler(LayerProtectionHandler):
         store,
         prng,
         suspect_mask: Optional[np.ndarray] = None,
-        rcond=None,
     ):
-        return solve_dense_parameters(
-            layer, plan, golden_input, golden_output, store, prng, rcond
-        )
+        return solve_dense_parameters(layer, plan, golden_input, golden_output, store, prng)

@@ -121,7 +121,6 @@ class DepthwiseConv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHa
         store,
         prng,
         suspect_mask: Optional[np.ndarray] = None,
-        rcond=None,
     ) -> SolveResult:
         if golden_input is None or golden_output is None:
             raise RecoveryError(
@@ -139,7 +138,7 @@ class DepthwiseConv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHa
             # Full per-channel solve: every tap of every channel recomputed.
             for channel in range(layer.channels):
                 solution, *_ = np.linalg.lstsq(
-                    matrix_a[:, :, channel], matrix_b[:, channel], rcond=rcond
+                    matrix_a[:, :, channel], matrix_b[:, channel], rcond=None
                 )
                 recovered[:, channel] = solution
             if positions < taps:
@@ -165,7 +164,7 @@ class DepthwiseConv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHa
                 system = matrix_a[:, erroneous, channel]
                 if erroneous.size > positions:
                     fully_determined = False
-                solution, *_ = np.linalg.lstsq(system, rhs, rcond=rcond)
+                solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
                 recovered[erroneous, channel] = solution
                 updated += int(erroneous.size)
         notes = "" if fully_determined else "under-determined: least-squares fallback used"

@@ -49,7 +49,7 @@ class ReshapeProtectionHandler(LayerProtectionHandler):
             inversion_strategy=InversionStrategy.RESHAPE,
         )
 
-    def invert(self, layer, plan, outputs, store, prng, rcond=None) -> np.ndarray:
+    def invert(self, layer, plan, outputs, store, prng) -> np.ndarray:
         return layer.invert(np.asarray(outputs, dtype=FLOAT_DTYPE))
 
 

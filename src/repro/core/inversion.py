@@ -36,7 +36,6 @@ def invert_dense(
     outputs: np.ndarray,
     store: CheckpointStore,
     prng: SeededTensorGenerator,
-    rcond: float | None = None,
 ) -> np.ndarray:
     """Recover the dense layer's input from its output: solve ``X @ W = Y``."""
     outputs = np.asarray(outputs, dtype=FLOAT_DTYPE)
@@ -61,7 +60,7 @@ def invert_dense(
             "and no dummy parameter columns were planned"
         )
     # X @ W = Y  <=>  W^T X^T = Y^T.
-    solution, *_ = np.linalg.lstsq(weights.T, rhs.T, rcond=rcond)
+    solution, *_ = np.linalg.lstsq(weights.T, rhs.T, rcond=None)
     return solution.T.astype(FLOAT_DTYPE)
 
 
@@ -71,7 +70,6 @@ def invert_conv(
     outputs: np.ndarray,
     store: CheckpointStore,
     prng: SeededTensorGenerator,
-    rcond: float | None = None,
 ) -> np.ndarray:
     """Recover the convolution layer's input from its output.
 
@@ -106,7 +104,7 @@ def invert_conv(
             f"F^2Z={kernel_matrix.shape[0]} and no dummy filters were planned"
         )
     # patch @ K = out  <=>  K^T patch^T = out^T, solved for all patches at once.
-    solution, *_ = np.linalg.lstsq(kernel_matrix.T, rhs.T, rcond=rcond)
+    solution, *_ = np.linalg.lstsq(kernel_matrix.T, rhs.T, rcond=None)
     patches = solution.T.reshape(batch, out_h, out_w, layer.receptive_field_size)
 
     padded_shape = layer.padded_input_shape(batch)
@@ -144,7 +142,6 @@ def invert_layer(
     outputs: np.ndarray,
     store: CheckpointStore,
     prng: SeededTensorGenerator,
-    rcond: float | None = None,
 ) -> np.ndarray:
     """Dispatch to the layer's protection handler for inversion.
 
@@ -165,6 +162,4 @@ def invert_layer(
     # Imported lazily: the handler modules import this module's invert_* helpers.
     from repro.core.handlers import handler_for
 
-    return handler_for(layer, layer_plan.index).invert(
-        layer, layer_plan, outputs, store, prng, rcond
-    )
+    return handler_for(layer, layer_plan.index).invert(layer, layer_plan, outputs, store, prng)

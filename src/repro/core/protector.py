@@ -60,9 +60,7 @@ class MILRProtector:
         self._detection_engine = DetectionEngine(
             self.model, self.plan, self.store, self.config, self.prng
         )
-        self._recovery_engine = RecoveryEngine(
-            self.model, self.plan, self.store, self.config, self.prng
-        )
+        self._recovery_engine = RecoveryEngine(self.model, self.plan, self.store, self.prng)
         return self.plan
 
     def _require_initialized(self) -> None:

@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.checkpoint import CheckpointStore
-from repro.core.config import MILRConfig
 from repro.core.detection import DetectionReport
 from repro.core.handlers import handler_for
 from repro.core.inversion import invert_layer
@@ -74,13 +73,11 @@ class RecoveryEngine:
         model: Sequential,
         plan: MILRPlan,
         store: CheckpointStore,
-        config: MILRConfig,
         prng: SeededTensorGenerator,
     ):
         self._model = model
         self._plan = plan
         self._store = store
-        self._config = config
         self._prng = prng
 
     # ------------------------------------------------------------------ #
@@ -114,7 +111,6 @@ class RecoveryEngine:
                 activation,
                 self._store,
                 self._prng,
-                rcond=self._config.solver_rcond,
             )
         return activation
 
@@ -151,7 +147,6 @@ class RecoveryEngine:
             self._store,
             self._prng,
             suspect_mask=suspect_mask,
-            rcond=self._config.solver_rcond,
         )
         layer.set_weights(result.parameters)
         elapsed = time.perf_counter() - started

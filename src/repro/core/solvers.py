@@ -3,9 +3,10 @@
 Given a golden input/output pair for a layer, these routines reconstruct the
 layer parameters (paper Sec. IV):
 
-* dense: solve ``X @ W = Y`` for ``W`` column-wise (dummy input rows stored at
-  initialization make the system square when the golden activation provides
-  fewer rows than input features),
+* dense: solve ``X @ W = Y`` for ``W``.  The planner stores ``N`` dummy input
+  rows, so ``X`` is the square dummy system regenerated from the seed and is
+  solved by LU factorization (LAPACK ``gesv``); only hand-built plans that
+  append golden rows reach the least-squares branch,
 * convolution (full): im2col patch matrix ``A (G^2, F^2 Z)`` against output
   ``B (G^2, Y)``,
 * convolution (partial): restrict the unknowns to the weights the 2-D CRC
@@ -49,6 +50,17 @@ class SolveResult:
     notes: str = ""
 
 
+def _dense_dummy_system(
+    layer: Dense, layer_plan: LayerPlan, store: CheckpointStore, prng: SeededTensorGenerator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stored dummy rows: ``X`` regenerated from the seed, ``Y`` as stored."""
+    rows = prng.dummy_inputs(
+        f"{layer.name}/solve-rows", (layer_plan.dummy_input_rows, layer.features_in)
+    )
+    outputs = store.dummy_row_outputs(layer_plan.index)
+    return rows.astype(np.float64), outputs.astype(np.float64)
+
+
 def solve_dense_parameters(
     layer: Dense,
     layer_plan: LayerPlan,
@@ -56,7 +68,6 @@ def solve_dense_parameters(
     golden_output: np.ndarray | None,
     store: CheckpointStore,
     prng: SeededTensorGenerator,
-    rcond: float | None = None,
 ) -> SolveResult:
     """Solve ``X @ W = Y`` for the dense weight matrix ``W (N, P)``.
 
@@ -66,6 +77,11 @@ def solve_dense_parameters(
     recovery exact even when neighbouring layers are erroneous (the paper's
     multi-layer whole-weight scenario).  ``golden_input``/``golden_output`` may
     then be ``None``.
+
+    A square system -- always the case for planner-built plans, which store
+    exactly ``N`` dummy rows -- is solved by LU factorization
+    (``np.linalg.solve``).  Any other shape -- only hand-built plans reach
+    one -- takes the least-squares solution.
     """
     self_contained = layer_plan.dummy_input_rows >= layer.features_in
     if golden_input is None or golden_output is None:
@@ -74,33 +90,30 @@ def solve_dense_parameters(
                 f"dense layer {layer.name!r} needs a golden input/output pair: the stored "
                 "dummy rows do not form a complete system on their own"
             )
-        x = np.zeros((0, layer.features_in), dtype=np.float64)
-        y = np.zeros((0, layer.features_out), dtype=np.float64)
+    elif np.ndim(golden_input) != 2 or np.ndim(golden_output) != 2:
+        raise RecoveryError("dense solving expects 2-D golden input and output")
+    if self_contained:
+        # The dummy system is complete; the golden pair is dropped so errors
+        # in neighbouring layers cannot contaminate the solve.
+        x, y = _dense_dummy_system(layer, layer_plan, store, prng)
     else:
         x = np.asarray(golden_input, dtype=np.float64)
         y = np.asarray(golden_output, dtype=np.float64)
-        if x.ndim != 2 or y.ndim != 2:
-            raise RecoveryError("dense solving expects 2-D golden input and output")
-        if self_contained:
-            # The dummy system is complete; drop the golden pair so errors in
-            # neighbouring layers cannot contaminate the solve.
-            x = np.zeros((0, layer.features_in), dtype=np.float64)
-            y = np.zeros((0, layer.features_out), dtype=np.float64)
-    if layer_plan.dummy_input_rows > 0:
-        dummy_rows = prng.dummy_inputs(
-            f"{layer.name}/solve-rows", (layer_plan.dummy_input_rows, layer.features_in)
-        ).astype(np.float64)
-        dummy_outputs = store.dummy_row_outputs(layer_plan.index).astype(np.float64)
-        x = np.concatenate([x, dummy_rows], axis=0)
-        y = np.concatenate([y, dummy_outputs], axis=0)
-    fully_determined = x.shape[0] >= layer.features_in
-    solution, residuals, *_ = np.linalg.lstsq(x, y, rcond=rcond)
-    residual = float(np.sum(residuals)) if np.size(residuals) else 0.0
+        if layer_plan.dummy_input_rows > 0:
+            dummy_x, dummy_y = _dense_dummy_system(layer, layer_plan, store, prng)
+            x = np.concatenate([x, dummy_x], axis=0)
+            y = np.concatenate([y, dummy_y], axis=0)
+    if x.shape[0] == x.shape[1]:
+        solution = np.linalg.solve(x, y)
+        residual = 0.0
+    else:
+        solution, residuals, *_ = np.linalg.lstsq(x, y, rcond=None)
+        residual = float(np.sum(residuals)) if np.size(residuals) else 0.0
     parameters = solution.astype(FLOAT_DTYPE)
     return SolveResult(
         parameters=parameters,
         parameters_updated=int(parameters.size),
-        fully_determined=fully_determined,
+        fully_determined=x.shape[0] >= layer.features_in,
         residual=residual,
     )
 
@@ -146,7 +159,6 @@ def solve_conv_parameters_full(
     golden_output: np.ndarray,
     store: CheckpointStore,
     prng: SeededTensorGenerator,
-    rcond: float | None = None,
 ) -> SolveResult:
     """Full convolution parameter solve: ``A @ W = B`` over all filters at once."""
     matrix_a, matrix_b = _conv_patch_system(layer, golden_input, golden_output)
@@ -163,7 +175,7 @@ def solve_conv_parameters_full(
             matrix_a = np.concatenate([matrix_a, dummy_patches], axis=0)
             matrix_b = np.concatenate([matrix_b, dummy_outputs], axis=0)
     fully_determined = matrix_a.shape[0] >= layer.receptive_field_size
-    solution, residuals, *_ = np.linalg.lstsq(matrix_a, matrix_b, rcond=rcond)
+    solution, residuals, *_ = np.linalg.lstsq(matrix_a, matrix_b, rcond=None)
     residual = float(np.sum(residuals)) if np.size(residuals) else 0.0
     kernel = solution.reshape(layer.get_weights().shape).astype(FLOAT_DTYPE)
     return SolveResult(
@@ -180,7 +192,6 @@ def solve_conv_parameters_partial(
     golden_input: np.ndarray,
     golden_output: np.ndarray,
     suspect_mask: np.ndarray,
-    rcond: float | None = None,
 ) -> SolveResult:
     """Partial recoverability: solve only for the weights flagged by the 2-D CRC.
 
@@ -215,7 +226,7 @@ def solve_conv_parameters_partial(
         system = matrix_a[:, erroneous]
         if erroneous.size > positions:
             fully_determined = False
-        solution, *_ = np.linalg.lstsq(system, rhs, rcond=rcond)
+        solution, *_ = np.linalg.lstsq(system, rhs, rcond=None)
         recovered[erroneous, filter_index] = solution
         updated += int(erroneous.size)
     new_kernel = recovered.reshape(kernel.shape).astype(FLOAT_DTYPE)
@@ -236,7 +247,6 @@ def solve_layer_parameters(
     store: CheckpointStore,
     prng: SeededTensorGenerator,
     suspect_mask: np.ndarray | None = None,
-    rcond: float | None = None,
 ) -> SolveResult:
     """Dispatch to the layer's protection handler for parameter solving."""
     # Imported lazily: the handler modules import this module's solver helpers.
@@ -250,5 +260,4 @@ def solve_layer_parameters(
         store,
         prng,
         suspect_mask=suspect_mask,
-        rcond=rcond,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import MILRConfig
+from repro.core import MILRConfig, MILRProtector
 from repro.core.initialization import build_checkpoint_store
 from repro.core.planner import plan_model
 from repro.core.solvers import (
@@ -55,6 +55,34 @@ class TestDenseSolving:
         no_dummy_plan = type(layer_plan)(**{**layer_plan.__dict__, "dummy_input_rows": 0})
         result = solve_dense_parameters(layer, no_dummy_plan, x, y, store, prng)
         np.testing.assert_allclose(result.parameters, original, rtol=1e-3, atol=1e-4)
+
+    def test_square_dummy_system_recovers_without_least_squares(self, monkeypatch):
+        # The shape of mnist_reduced's head1_dense: the planner stores exactly
+        # N = 1152 dummy rows, so recovery solves a square system by LU.
+        model = Sequential([Dense(32, seed=20, name="d")])
+        model.build((1152,))
+        protector = MILRProtector(model, MILRConfig())
+        protector.initialize()
+        layer = model.get_layer("d")
+        original = layer.get_weights()
+        rows = protector.prng.dummy_inputs("d/solve-rows", (1152, 1152))
+        outputs = protector.store.dummy_row_outputs(0)
+        reference = np.linalg.lstsq(
+            rows.astype(np.float64), outputs.astype(np.float64), rcond=None
+        )[0].astype(np.float32)
+
+        def no_least_squares(*_args, **_kwargs):
+            raise AssertionError("the square dense system must not take least squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_least_squares)
+        layer.set_weights(np.random.default_rng(3).random(original.shape).astype(np.float32))
+        detection = protector.detect()
+        assert detection.erroneous_layers == [0]
+        report = protector.recover(detection)
+        assert report.all_fully_determined
+        recovered = layer.get_weights()
+        np.testing.assert_allclose(recovered, original, rtol=1e-3, atol=1e-4)
+        np.testing.assert_allclose(recovered, reference, rtol=1e-5, atol=1e-6)
 
     def test_rejects_non_2d(self):
         model = Sequential([Dense(4, seed=2, name="d")])
