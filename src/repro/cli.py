@@ -572,8 +572,7 @@ def _print_serve(args: argparse.Namespace) -> None:
     print(
         f"certified-fused serving: {stats.fused_served} samples fused, "
         f"{stats.fused_fallbacks} fallbacks, "
-        f"{stats.fusion_certifications} certifications, "
-        f"{stats.uncertified_fused_served} uncertified"
+        f"{stats.fusion_certifications} certifications"
     )
     print(
         format_table(

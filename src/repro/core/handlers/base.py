@@ -13,9 +13,10 @@ needs across the whole stack:
 * **detection probing and weight localization**,
 * **inversion** for backward recovery passes,
 * **parameter solving** (``R(x, y) = p``),
-* **service-side repair hooks** -- the self-contained bit-exact repair the
-  scrubber tries before any golden pass, the residual-guided sparse estimate,
-  and the repair ordering rank.
+* **bit-exact repair hooks** -- the self-contained bit-exact repair the
+  service scrubber tries before any golden pass, the residual-guided sparse
+  estimate, and the repair ordering rank (strategies in
+  :mod:`repro.core.repair`).
 
 The engines (:func:`~repro.core.planner.plan_model`,
 :func:`~repro.core.initialization.build_checkpoint_store`,
@@ -53,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.solvers import SolveResult
     from repro.nn.layers.base import Layer
     from repro.prng import SeededTensorGenerator
-    from repro.service.config import ServiceConfig
 
 __all__ = [
     "DetectionInput",
@@ -190,7 +190,7 @@ class LayerProtectionHandler:
         )
 
     # ------------------------------------------------------------------ #
-    # Service-side repair chain hooks
+    # Bit-exact repair chain hooks
     # ------------------------------------------------------------------ #
     def checkpoint_free_repair(
         self,
@@ -200,7 +200,6 @@ class LayerProtectionHandler:
         golden_fingerprint: bytes,
         store: "CheckpointStore",
         milr_config: "MILRConfig",
-        service_config: "ServiceConfig",
     ) -> Optional[np.ndarray]:
         """Bit-exact repair from the layer's own stored protection data.
 
@@ -216,7 +215,6 @@ class LayerProtectionHandler:
         plan: "LayerPlan",
         corrupted: np.ndarray,
         engine: "RecoveryEngine",
-        service_config: "ServiceConfig",
     ) -> Optional[np.ndarray]:
         """Residual-guided sparse estimate from golden checkpoint passes.
 
@@ -241,26 +239,24 @@ def crc_guided_view_repair(
     golden_fingerprint: bytes,
     store: "CheckpointStore",
     milr_config: "MILRConfig",
-    service_config: "ServiceConfig",
 ) -> Optional[np.ndarray]:
     """Shared bit-exact repair from stored 2-D CRC codes on a 4-D weight view.
 
     Conv-style handlers store their codes over a ``(F1, F2, Z, Y)`` view of
     the parameters; this helper replays
-    :func:`~repro.service.repair.crc_guided_kernel_repair` on that view and
+    :func:`~repro.core.repair.crc_guided_kernel_repair` on that view and
     returns the repaired array (in the layer's own shape) only when the
     final localization is clean *and* the golden fingerprint confirms.
     """
     if plan.index not in store.crc_codes:
         return None
     from repro.core.checkpoint import weight_fingerprint
-    from repro.service.repair import crc_guided_kernel_repair
+    from repro.core.repair import crc_guided_kernel_repair
 
     repaired_view, complete = crc_guided_kernel_repair(
         np.ascontiguousarray(corrupted).reshape(view_shape),
         store.crc_codes_for(plan.index),
         _crc_codec(milr_config),
-        max_flips=service_config.repair_max_flips,
     )
     repaired = repaired_view.reshape(corrupted.shape)
     if complete and weight_fingerprint(repaired) == golden_fingerprint:
@@ -319,7 +315,6 @@ class CRCViewProtectionMixin:
         golden_fingerprint: bytes,
         store: "CheckpointStore",
         milr_config: "MILRConfig",
-        service_config: "ServiceConfig",
     ) -> Optional[np.ndarray]:
         return crc_guided_view_repair(
             plan,
@@ -328,7 +323,6 @@ class CRCViewProtectionMixin:
             golden_fingerprint,
             store,
             milr_config,
-            service_config,
         )
 
 

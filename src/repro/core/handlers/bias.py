@@ -71,19 +71,16 @@ class BiasProtectionHandler(LayerProtectionHandler):
         return solve_bias_parameters(layer, golden_input, golden_output)
 
     # ------------------------------------------------------------------ #
-    # Service repair chain
+    # Bit-exact repair chain
     # ------------------------------------------------------------------ #
     def checkpoint_free_repair(
-        self, layer, plan, corrupted, golden_fingerprint, store, milr_config, service_config
+        self, layer, plan, corrupted, golden_fingerprint, store, milr_config
     ) -> Optional[np.ndarray]:
-        from repro.service.repair import sparse_bias_repair
+        from repro.core.repair import sparse_bias_repair
 
         return sparse_bias_repair(
             corrupted,
             store.partial_checkpoint(plan.index),
             uses_sum=milr_config.bias_detection_uses_sum,
             golden_fingerprint=golden_fingerprint,
-            rtol=service_config.repair_rtol,
-            atol=service_config.repair_atol,
-            max_flips=service_config.repair_max_flips,
         )

@@ -188,11 +188,11 @@ class Conv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler):
         return solve_conv_parameters_full(layer, plan, golden_input, golden_output, store, prng)
 
     # ------------------------------------------------------------------ #
-    # Service repair chain (the CRC-guided bit-exact repair comes from
+    # Bit-exact repair chain (the CRC-guided bit-exact repair comes from
     # CRCViewProtectionMixin.checkpoint_free_repair)
     # ------------------------------------------------------------------ #
     def residual_repair_estimate(
-        self, layer: Conv2D, plan, corrupted, engine, service_config
+        self, layer: Conv2D, plan, corrupted, engine
     ) -> Optional[np.ndarray]:
         """Residual-guided sparse repair over the whole kernel matrix.
 
@@ -200,7 +200,7 @@ class Conv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler):
         input patches span a low-rank subspace), while the sparse path
         isolates the few corrupted coordinates exactly.
         """
-        from repro.service.repair import sparse_kernel_repair
+        from repro.core.repair import sparse_kernel_repair
 
         golden_input = engine.golden_input_for(plan.index)
         golden_output = engine.golden_output_for(plan.index)
@@ -209,9 +209,6 @@ class Conv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHandler):
             patches.reshape(-1, patches.shape[-1]),
             golden_output.reshape(-1, layer.filters),
             corrupted.reshape(-1, layer.filters),
-            rtol=service_config.repair_rtol,
-            atol=service_config.repair_atol,
-            max_support=service_config.sparse_repair_max_support,
         )
         if complete:
             return estimate.reshape(corrupted.shape)

@@ -176,14 +176,14 @@ class DepthwiseConv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHa
         )
 
     # ------------------------------------------------------------------ #
-    # Service repair chain (the CRC-guided bit-exact repair comes from
+    # Bit-exact repair chain (the CRC-guided bit-exact repair comes from
     # CRCViewProtectionMixin.checkpoint_free_repair)
     # ------------------------------------------------------------------ #
     def residual_repair_estimate(
-        self, layer: DepthwiseConv2D, plan, corrupted, engine, service_config
+        self, layer: DepthwiseConv2D, plan, corrupted, engine
     ) -> Optional[np.ndarray]:
         """Per-channel residual-guided sparse repair (one OMP per channel)."""
-        from repro.service.repair import sparse_kernel_repair
+        from repro.core.repair import sparse_kernel_repair
 
         golden_input = engine.golden_input_for(plan.index)
         golden_output = engine.golden_output_for(plan.index)
@@ -196,9 +196,6 @@ class DepthwiseConv2DProtectionHandler(CRCViewProtectionMixin, LayerProtectionHa
                 matrix_a[:, :, channel],
                 matrix_b[:, channel : channel + 1],
                 corrupted_matrix[:, channel : channel + 1],
-                rtol=service_config.repair_rtol,
-                atol=service_config.repair_atol,
-                max_support=service_config.sparse_repair_max_support,
             )
             if not complete:
                 return None

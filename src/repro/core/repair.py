@@ -100,8 +100,8 @@ class RepairOutcome:
 def snap_to_bit_flips(
     corrupted: np.ndarray,
     estimate: np.ndarray,
-    rtol: float,
-    atol: float,
+    rtol: float = 1e-3,
+    atol: float = 1e-5,
     max_flips: int = 2,
 ) -> tuple[np.ndarray, int, int]:
     """Refine a solver estimate using the stored corrupted bit patterns.
@@ -149,8 +149,8 @@ def sparse_kernel_repair(
     patches: np.ndarray,
     outputs: np.ndarray,
     corrupted_matrix: np.ndarray,
-    rtol: float,
-    atol: float,
+    rtol: float = 1e-3,
+    atol: float = 1e-5,
     max_support: int = 8,
 ) -> tuple[np.ndarray, bool]:
     """Residual-guided sparse repair of a convolution kernel matrix.
@@ -300,8 +300,8 @@ def sparse_bias_repair(
     stored_checkpoint: np.ndarray,
     uses_sum: bool,
     golden_fingerprint: bytes,
-    rtol: float,
-    atol: float,
+    rtol: float = 1e-3,
+    atol: float = 1e-5,
     max_flips: int = 2,
 ) -> "np.ndarray | None":
     """Self-contained bit-exact repair of a bias layer from its checkpoint.
@@ -358,7 +358,7 @@ def estimate_guided_repair(
     corrupted: np.ndarray,
     estimate: np.ndarray,
     golden_fingerprint: bytes,
-    atol: float,
+    atol: float = 1e-5,
     max_flips: int = 2,
     max_suspects: int = 4,
     candidates_per_word: int = 4,
@@ -427,8 +427,8 @@ def refine_recovered_weights(
     layer,
     corrupted: np.ndarray,
     golden_fingerprint: bytes,
-    rtol: float,
-    atol: float,
+    rtol: float = 1e-3,
+    atol: float = 1e-5,
     max_flips: int = 2,
 ) -> RepairOutcome:
     """Attempt a verified bit-exact restoration of an already-recovered layer.

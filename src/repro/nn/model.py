@@ -11,7 +11,6 @@ import numpy as np
 from repro.exceptions import NotBuiltError, ShapeError
 from repro.nn.layers.base import Layer
 from repro.nn.plan import (
-    DEFAULT_ULP_BOUND,
     FusionCertificate,
     PlanLike,
     PlanStats,
@@ -31,7 +30,7 @@ __all__ = ["Sequential"]
 PLAN_CACHE_SIZE = 8
 
 #: Maximum retained fusion certificates per model, keyed by
-#: ``(network weight fingerprint, batch size, ULP bound)``.  The memo lets a
+#: ``(network weight fingerprint, batch size)``.  The memo lets a
 #: fused plan recompiled after a bit-exact repair (or LRU eviction) reuse its
 #: certification without re-running calibration: the weight fingerprint is the
 #: same, so the certificate still applies.
@@ -73,16 +72,13 @@ class Sequential:
         #: LRU capacity of the plan cache; raised by the service registry
         #: when ``ServiceConfig.max_batch`` exceeds the default.
         self.plan_cache_size = PLAN_CACHE_SIZE
-        #: Max ULP divergence tolerated by fusion certification; the service
-        #: registry overrides this from ``ServiceConfig.fusion_ulp_bound``.
-        self.fusion_ulp_bound = DEFAULT_ULP_BOUND
         #: Names of layers that must not be folded into an adjacent matmul or
         #: consumed into a fused block -- maintained by the service registry
         #: (quarantined layers) under the model lock and re-checked live by
         #: the plan compiler at every consumption decision.
         self.fusion_blocklist: set[str] = set()
-        #: Fusion certificates keyed by ``(weights digest, batch, bound)``.
-        self._fusion_cert_memo: "OrderedDict[tuple[bytes, int, int], FusionCertificate]" = (
+        #: Fusion certificates keyed by ``(weights digest, batch)``.
+        self._fusion_cert_memo: "OrderedDict[tuple[bytes, int], FusionCertificate]" = (
             OrderedDict()
         )
 
@@ -156,7 +152,6 @@ class Sequential:
         training: bool = False,
         use_plan: bool = True,
         fused: bool = False,
-        certify: bool = True,
     ) -> tuple[np.ndarray, dict]:
         """:meth:`predict` plus serve attribution for the service runtime.
 
@@ -170,14 +165,10 @@ class Sequential:
         * ``certificate`` -- the :class:`~repro.nn.plan.FusionCertificate`
           backing a fused serve (``None`` otherwise),
         * ``certified_now`` -- whether this call ran the calibration batch
-          (certification cache miss), so callers can account its cost,
-        * ``uncertified`` -- invariant flag: ``True`` only if a fused plan
-          served without a passing certificate while certification was
-          requested.  Stays ``False`` by construction; counted (rather than
-          asserted) by the service so violations would be observable.
+          (certification cache miss), so callers can account its cost.
 
-        With ``certify=False`` a fused request serves the fused plan without
-        the certification gate (the legacy opt-in behaviour).
+        A ``"fused"`` serve always carries a certificate that passed: the
+        only way to a fused plan here is :meth:`_certified_fused_plan`.
         """
         if not self.built:
             raise NotBuiltError(f"model {self.name!r} has not been built")
@@ -185,12 +176,7 @@ class Sequential:
             outputs = np.asarray(inputs, dtype=FLOAT_DTYPE)
             for layer in self.layers:
                 outputs = layer.forward(outputs, training=training)
-            return outputs, {
-                "mode": "seed",
-                "certificate": None,
-                "certified_now": False,
-                "uncertified": False,
-            }
+            return outputs, {"mode": "seed", "certificate": None, "certified_now": False}
         inputs = np.ascontiguousarray(np.asarray(inputs, dtype=FLOAT_DTYPE))
         if inputs.shape[1:] != self.input_shape:
             raise ShapeError(
@@ -203,9 +189,7 @@ class Sequential:
             certificate: Optional[FusionCertificate] = None
             certified_now = False
             if fused:
-                plan, certificate, certified_now = self._certified_fused_plan(
-                    batch, certify
-                )
+                plan, certificate, certified_now = self._certified_fused_plan(batch)
                 if plan is not None:
                     mode = "fused"
                 else:
@@ -225,20 +209,14 @@ class Sequential:
                 if healed:
                     self._plan_stats.scratch_detections += healed
             outputs = plan.execute(inputs)
-        uncertified = bool(
-            mode == "fused"
-            and certify
-            and (certificate is None or not certificate.certified)
-        )
         return outputs, {
             "mode": mode,
             "certificate": certificate,
             "certified_now": certified_now,
-            "uncertified": uncertified,
         }
 
     def _certified_fused_plan(
-        self, batch: int, certify: bool
+        self, batch: int
     ) -> tuple[Optional[PlanLike], Optional[FusionCertificate], bool]:
         """Fused plan for ``batch`` if certified (caller holds the lock).
 
@@ -252,20 +230,14 @@ class Sequential:
         never pay calibration again.
         """
         plan, was_hit = self._plan_lookup(batch, True)
-        if not certify:
-            if was_hit:
-                self._plan_stats.fused_hits += 1
-            return plan, plan.certificate, False
         certificate = plan.certificate
         certified_now = False
         if certificate is None:
-            memo_key = (plan.weights_digest, batch, int(self.fusion_ulp_bound))
+            memo_key = (plan.weights_digest, batch)
             certificate = self._fusion_cert_memo.get(memo_key)
             if certificate is None:
                 exact_plan, _hit = self._plan_lookup(batch, False)
-                certificate = certify_fusion(
-                    self, plan, exact_plan, self.fusion_ulp_bound
-                )
+                certificate = certify_fusion(self, plan, exact_plan)
                 self._plan_stats.certifications += 1
                 certified_now = True
                 self._fusion_cert_memo[memo_key] = certificate

@@ -267,7 +267,7 @@ def ulp_distance(
 class FusionCertificate:
     """Outcome of one fused-vs-exact calibration run.
 
-    Cached per ``(network weight fingerprint, batch size, ULP bound)`` by
+    Cached per ``(network weight fingerprint, batch size)`` by
     :class:`~repro.nn.model.Sequential`, and pinned onto the fused plan it
     certified -- a plan that survives fingerprint revalidation (bit-exact
     repair) keeps its certificate without re-running calibration.

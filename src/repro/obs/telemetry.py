@@ -250,7 +250,6 @@ class Telemetry:
             gauge("repro_serve_requests_completed", stats.requests_completed)
             gauge("repro_serve_requests_failed", stats.requests_failed)
             gauge("repro_serve_batches_executed", stats.batches_executed)
-            gauge("repro_serve_samples_padded", stats.samples_padded)
             gauge(
                 "repro_serve_during_quarantine", stats.served_during_quarantine
             )

@@ -10,8 +10,8 @@ evaluated with measured detection/recovery times instead of assumptions.
 * :mod:`repro.service.engine` -- batching inference engine with latency
   accounting
 * :mod:`repro.service.scrubber` -- periodic sliced detection + recovery
-  dispatch
-* :mod:`repro.service.repair` -- verified bit-exact repair refinement
+  dispatch through the verified bit-exact repair chain of
+  :mod:`repro.core.repair`
 * :mod:`repro.service.sla` -- live availability / minimum-accuracy tracking
 * :mod:`repro.service.pressure` -- Poisson bit-flip fault driver
 * :mod:`repro.service.traffic` -- composable trace-driven traffic shapes,
@@ -37,15 +37,6 @@ from repro.service.pressure import (
     FaultPressureDriver,
 )
 from repro.service.registry import ManagedModel, ModelRegistry, RequestStats
-from repro.service.repair import (
-    RepairOutcome,
-    crc_guided_kernel_repair,
-    estimate_guided_repair,
-    refine_recovered_weights,
-    snap_to_bit_flips,
-    sparse_bias_repair,
-    sparse_kernel_repair,
-)
 from repro.service.breaker import CircuitBreaker
 from repro.service.runtime import (
     ChaosRunResult,
@@ -87,13 +78,6 @@ __all__ = [
     "FaultEvent",
     "DEFAULT_BIT_POSITIONS",
     "SCRATCH_LAYER_NAME",
-    "RepairOutcome",
-    "crc_guided_kernel_repair",
-    "estimate_guided_repair",
-    "refine_recovered_weights",
-    "snap_to_bit_flips",
-    "sparse_bias_repair",
-    "sparse_kernel_repair",
     "SelfHealingService",
     "SoakResult",
     "run_soak",

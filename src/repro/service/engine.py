@@ -2,10 +2,9 @@
 
 Requests arrive one sample at a time (as they would from network handlers),
 are queued per model, and a dedicated worker thread per model drains the
-queue into batches executed through :meth:`Sequential.predict` -- the
-plan-compiled fast path, one cached plan per batch occupancy, so partial
-batches no longer pad to ``max_batch`` (unless
-``ServiceConfig.fixed_batch_shape`` is set).  Every request carries
+queue into batches executed through :meth:`Sequential.predict_served` --
+the certified-fused fast path, one cached plan per batch occupancy, so
+partial batches are never padded to ``max_batch``.  Every request carries
 wall-clock latency accounting from enqueue to completion.
 
 Worker loop contract: a batch only executes while the model's quarantine set
@@ -15,10 +14,9 @@ weights mid-batch and no request is answered through a quarantined layer.
 
 Overload protection: with ``ServiceConfig.max_queue_depth`` set, each model's
 queue is bounded and :meth:`InferenceEngine.submit` becomes an admission
-controller -- a full queue either rejects the request with
-:class:`~repro.exceptions.ServiceOverloadError` or blocks the caller for a
-bounded wait, and an armed circuit breaker sheds at admission when p99
-latency or quarantine depth trips it.  Requests may carry deadlines: the
+controller -- a full queue sheds the request with
+:class:`~repro.exceptions.ServiceOverloadError`, and an armed circuit breaker
+sheds at admission when p99 latency or quarantine depth trips it.  Requests may carry deadlines: the
 batch cut happens no later than half the oldest request's remaining budget,
 and a request whose deadline already passed when its batch is assembled is
 dropped before compute (counted as shed, failed with
@@ -123,7 +121,8 @@ class InferenceRequest:
 
 
 class InferenceEngine:
-    """Queues single-sample requests and serves them as padded batches."""
+    """Queues single-sample requests and serves them as variable-occupancy
+    batches through certified-fused forward plans."""
 
     def __init__(self, registry: ModelRegistry, config: Optional[ServiceConfig] = None):
         self._registry = registry
@@ -243,8 +242,7 @@ class InferenceEngine:
         """Enqueue one sample; returns a request handle with ``result()``.
 
         Raises :class:`ServiceOverloadError` when overload protection sheds
-        the request (full bounded queue under the ``"reject"`` policy, block
-        timeout expiry under ``"block"``, or an open circuit breaker), and
+        the request (full bounded queue or an open circuit breaker), and
         :class:`ExperimentError` when the engine is stopped or the model's
         worker has died.  ``deadline_seconds`` (default
         ``ServiceConfig.default_deadline_seconds``) starts the request's
@@ -259,7 +257,10 @@ class InferenceEngine:
                 f"{entry.model.input_shape}, got {sample.shape}"
             )
         breaker = entry.breaker
-        if breaker is not None and not breaker.allow(len(entry.quarantined)):
+        # quarantine_depth reads without the model lock, which in-flight
+        # batches and recovery jobs hold: admission must not queue behind
+        # compute, and the depth trip must fire while recovery runs.
+        if breaker is not None and not breaker.allow(entry.quarantine_depth):
             self._shed(entry, "breaker_open")
             raise ServiceOverloadError(
                 f"model {model_name!r} circuit breaker is open",
@@ -271,7 +272,6 @@ class InferenceEngine:
         # Enqueue under the engine lock: a concurrent stop() (which also takes
         # the lock) can then never drain-and-join between our running check
         # and the put, which would strand the request until its timeout.
-        blocked = False
         with self._lock:
             if not self._running:
                 self._abort_probe(breaker)
@@ -288,60 +288,16 @@ class InferenceEngine:
             try:
                 q.put_nowait(request)
             except queue.Full:
-                if config.admission_policy == "reject":
-                    self._shed(entry, "queue_full")
-                    self._abort_probe(breaker)
-                    raise ServiceOverloadError(
-                        f"model {model_name!r} queue is full "
-                        f"(depth {config.max_queue_depth})",
-                        reason="queue_full",
-                    ) from None
-                blocked = True
-            else:
-                depth = q.qsize()
-                if depth > entry.stats.queue_depth_highwater:
-                    entry.stats.queue_depth_highwater = depth
-        if blocked:
-            # Block policy: wait for queue space OUTSIDE the engine lock so a
-            # full queue behind a quarantine-wedged worker can never hold up
-            # stop() or other models' submits.  Short put timeouts let us
-            # re-check for shutdown/worker death while waiting.
-            give_up = time.perf_counter() + config.admission_block_timeout_seconds
-            while True:
-                remaining = give_up - time.perf_counter()
-                if remaining <= 0:
-                    self._shed(entry, "queue_full")
-                    self._abort_probe(breaker)
-                    raise ServiceOverloadError(
-                        f"model {model_name!r} queue stayed full for "
-                        f"{config.admission_block_timeout_seconds}s",
-                        reason="queue_full",
-                    )
-                if not self._running or model_name in self._dead_workers:
-                    self._abort_probe(breaker)
-                    raise ExperimentError(
-                        "inference engine stopped while waiting for queue space"
-                    )
-                try:
-                    q.put(request, timeout=min(0.05, remaining))
-                    break
-                except queue.Full:
-                    continue
-            with self._lock:
-                depth = q.qsize()
-                if depth > entry.stats.queue_depth_highwater:
-                    entry.stats.queue_depth_highwater = depth
-                if not request.done() and (
-                    not self._running or model_name in self._dead_workers
-                ):
-                    # stop() or a worker death may have drained the queue
-                    # before our put landed; fail the request rather than
-                    # strand it to its timeout.
-                    request._fail(
-                        ExperimentError(
-                            "inference engine stopped while the request was queued"
-                        )
-                    )
+                self._shed(entry, "queue_full")
+                self._abort_probe(breaker)
+                raise ServiceOverloadError(
+                    f"model {model_name!r} queue is full "
+                    f"(depth {config.max_queue_depth})",
+                    reason="queue_full",
+                ) from None
+            depth = q.qsize()
+            if depth > entry.stats.queue_depth_highwater:
+                entry.stats.queue_depth_highwater = depth
         entry.tracker.record_admitted()
         return request
 
@@ -388,34 +344,22 @@ class InferenceEngine:
         }
 
     def _warm_plans(self, entry: ManagedModel) -> None:
-        """Precompile (and certify) the plans variable-occupancy serving uses.
+        """Precompile and certify the plans variable-occupancy serving uses.
 
         Runs once per worker before it accepts requests: every occupancy
-        ``1..max_batch`` gets its bit-exact plan -- and, with fused serving
-        on, its fused plan plus ULP certification -- compiled up front, so no
-        live request ever pays a plan compile or a calibration run.  Skipped
-        while the model is quarantined (plans would be dropped on the
-        quarantine lift anyway); serving then warms lazily as before.
+        ``1..max_batch`` gets its bit-exact plan, its fused plan and the
+        fused plan's ULP certification compiled up front, so no live request
+        ever pays a plan compile or a calibration run.  Skipped while the
+        model is quarantined (plans would be dropped on the quarantine lift
+        anyway); serving then warms lazily.
         """
-        config = self._config
-        if not config.precompile_plans:
-            return
         with entry.lock:
             if not entry.is_healthy():
                 return
             probe = np.zeros((1,) + entry.model.input_shape, dtype=FLOAT_DTYPE)
-            occupancies = (
-                [config.max_batch]
-                if config.fixed_batch_shape
-                else range(1, config.max_batch + 1)
-            )
-            for occupancy in occupancies:
+            for occupancy in range(1, self._config.max_batch + 1):
                 batch = np.broadcast_to(probe, (occupancy,) + probe.shape[1:])
-                _outputs, serve_info = entry.model.predict_served(
-                    batch,
-                    fused=config.fused_forward,
-                    certify=config.certify_fusion,
-                )
+                _outputs, serve_info = entry.model.predict_served(batch, fused=True)
                 if serve_info["certified_now"]:
                     entry.stats.fusion_certifications += 1
 
@@ -440,7 +384,7 @@ class InferenceEngine:
             batch = [item]
             now = time.perf_counter()
             cut = now + config.batch_timeout_seconds
-            if config.deadline_batch_cut and item.deadline is not None:
+            if item.deadline is not None:
                 # Deadline-aware cut: stop gathering once the oldest request
                 # has spent half its latency budget, leaving the other half
                 # for compute instead of letting a sparse queue burn it all
@@ -528,29 +472,14 @@ class InferenceEngine:
                     )
                 if not entry.is_healthy():  # pragma: no cover - invariant guard
                     entry.stats.served_during_quarantine += len(batch)
-                stacked = np.stack([request.sample for request in batch])
-                # Batches execute at their actual occupancy: the compiled
-                # forward plans accept any batch size (one cached plan per
-                # size), so padding to max_batch -- which computed up to
-                # max_batch - 1 throwaway samples per partial batch -- is only
-                # done when a fixed-shape plan is explicitly configured.
-                if config.fixed_batch_shape and stacked.shape[0] < config.max_batch:
-                    pad = np.zeros(
-                        (config.max_batch - stacked.shape[0],) + stacked.shape[1:],
-                        dtype=stacked.dtype,
-                    )
-                    stacked = np.concatenate([stacked, pad], axis=0)
-                    entry.stats.samples_padded += pad.shape[0]
-                # The production forward: fused by default, but only served
-                # through a plan whose network passed ULP certification at
-                # this batch size -- anything else silently falls back to the
-                # bit-exact plan (attributed below).
+                # Batches execute at their actual occupancy (one cached plan
+                # per size).  The forward is fused, but only through a plan
+                # whose network passed ULP certification at this batch size --
+                # anything else silently falls back to the bit-exact plan
+                # (attributed below).
                 outputs, serve_info = entry.model.predict_served(
-                    stacked,
-                    fused=config.fused_forward,
-                    certify=config.certify_fusion,
+                    np.stack([request.sample for request in batch]), fused=True
                 )
-                outputs = outputs[: len(batch)]
                 entry.stats.batches_executed += 1
                 entry.stats.samples_served += len(batch)
                 # A serve through repaired-but-inexact (degraded) layers still
@@ -561,8 +490,6 @@ class InferenceEngine:
                 mode = serve_info["mode"]
                 if mode == "fused":
                     entry.stats.fused_served += len(batch)
-                    if serve_info["uncertified"]:
-                        entry.stats.uncertified_fused_served += len(batch)
                 elif mode == "fallback":
                     entry.stats.fused_fallbacks += len(batch)
                 if serve_info["certified_now"]:

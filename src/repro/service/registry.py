@@ -43,13 +43,9 @@ class RequestStats:
     batches_executed: int = 0
     total_latency_seconds: float = 0.0
     max_latency_seconds: float = 0.0
-    #: Real samples computed by batch execution (= requests in the batch).
+    #: Samples computed by batch execution (= requests in the batch; batches
+    #: run at their actual occupancy, never padded).
     samples_served: int = 0
-    #: Padding samples computed and thrown away.  Stays zero unless
-    #: ``ServiceConfig.fixed_batch_shape`` re-enables padding; the historical
-    #: pad-to-``max_batch`` behaviour wasted up to ``max_batch - 1`` sample
-    #: computations per partial batch.
-    samples_padded: int = 0
     #: Cached forward plans invalidated by the fingerprint revalidation sweep
     #: that runs when quarantine is lifted (weights changed under the plan and
     #: were not restored byte-identically at compile-time values).
@@ -66,10 +62,6 @@ class RequestStats:
     #: Fusion calibration runs paid by the serve path (certification cache
     #: misses; each one ran the seeded calibration batch through both plans).
     fusion_certifications: int = 0
-    #: Requests served by a fused plan *without* a passing certificate while
-    #: certification was on.  The serving contract keeps this zero by
-    #: construction; counted (not asserted) so violations are observable.
-    uncertified_fused_served: int = 0
     #: Requests rejected at admission because the bounded queue was full.
     shed_queue_full: int = 0
     #: Requests rejected at admission by an open circuit breaker.
@@ -173,6 +165,15 @@ class ManagedModel:
         with self.lock:
             return set(self._quarantined)
 
+    @property
+    def quarantine_depth(self) -> int:
+        """Number of quarantined layers, read without taking :attr:`lock`.
+
+        The count may be momentarily stale; admission shedding uses it so a
+        submit never waits behind a batch forward or a recovery job.
+        """
+        return len(self._quarantined)
+
     def quarantine(self, layer_indices: Iterable[int]) -> None:
         """Mark layers as known-corrupted; serving pauses until they heal."""
         indices = set(layer_indices)
@@ -270,29 +271,26 @@ class ModelRegistry:
     ) -> ManagedModel:
         """Wrap a built model (initializing MILR protection if needed).
 
-        When the registry initializes the protector itself,
-        ``ServiceConfig.store_conv_crc`` upgrades the MILR config so every
-        convolution layer stores 2-D CRC codes (self-contained online repair).
-        An already-initialized ``protector`` is taken as-is.
+        When the registry initializes the protector itself, it upgrades the
+        MILR config so every convolution layer stores 2-D CRC codes
+        (``MILRConfig.always_store_conv_crc``): the codes make conv repair
+        self-contained, so a corrupted conv/bias pair cannot deadlock each
+        other's recovery.  An already-initialized ``protector`` is taken
+        as-is.
         """
         if protector is None:
-            if self.config.store_conv_crc:
-                milr_config = dataclass_replace(
-                    milr_config or MILRConfig(), always_store_conv_crc=True
-                )
+            milr_config = dataclass_replace(
+                milr_config or MILRConfig(), always_store_conv_crc=True
+            )
             protector = MILRProtector(model, milr_config)
         if not protector.initialized:
             protector.initialize()
-        # Variable-occupancy serving compiles one forward plan per batch size
-        # (1..max_batch, plus evaluation chunk sizes) and, with fused serving
-        # on, up to two plans per size (fused + the bit-exact certification
-        # reference): make sure the model's plan LRU can hold them all so the
-        # hot path never thrashes.
-        plans_needed = self.config.max_batch + 2
-        if self.config.fused_forward:
-            plans_needed *= 2
+        # Variable-occupancy serving compiles two forward plans per batch
+        # size (fused + the bit-exact certification reference) for sizes
+        # 1..max_batch plus evaluation chunk sizes: make sure the model's plan
+        # LRU can hold them all so the hot path never thrashes.
+        plans_needed = 2 * (self.config.max_batch + 2)
         model.plan_cache_size = max(model.plan_cache_size, plans_needed)
-        model.fusion_ulp_bound = self.config.fusion_ulp_bound
         entry = ManagedModel(name, model, protector, telemetry=self.telemetry)
         if self.config.breaker_enabled:
             from repro.service.breaker import CircuitBreaker

@@ -45,7 +45,7 @@ from repro.service.pressure import FaultEvent, FaultPressureDriver
 from repro.service.registry import ManagedModel, ModelRegistry
 from repro.service.scrubber import Scrubber
 from repro.service.sla import SLAReport, SLOReport
-from repro.service.traffic import CHAOS_SCENARIOS, ChaosScenario, TrafficShape
+from repro.service.traffic import CHAOS_SCENARIOS, TrafficShape
 from repro.types import FLOAT_DTYPE
 
 __all__ = [
@@ -178,7 +178,6 @@ class SelfHealingService:
         return entry.tracker.report(
             scrub_period_seconds or self.config.scrub_period_seconds,
             error_interval_seconds=error_interval_seconds,
-            yearly_accuracy_floor=self.config.yearly_accuracy_floor,
         )
 
     def sla_reports(self) -> list[SLAReport]:
@@ -205,9 +204,6 @@ class SoakResult:
     #: Forward plans invalidated while serving (stale-epoch recompiles after
     #: injections/repairs plus fingerprint-sweep drops at quarantine lift).
     plan_invalidations: int
-    #: Padding samples computed and discarded by the engine (zero unless
-    #: ``ServiceConfig.fixed_batch_shape`` re-enables batch padding).
-    samples_padded: int
     throughput_rps: float
     mean_latency_seconds: float
     p50_latency_seconds: float
@@ -225,10 +221,6 @@ class SoakResult:
     #: Fused batches that fell back to the bit-exact plan (certification
     #: failed or lapsed at that batch size).
     fused_fallbacks: int
-    #: Samples served through a fused plan *without* a passing certificate.
-    #: Invariant: stays zero -- fused serving always re-certifies or falls
-    #: back, no matter what the fault driver does to the weights.
-    uncertified_fused_served: int
     #: Blacklisted stuck-at cells healed by the scrubber's remap pass.
     remap_repairs: int
     #: Memory cells blacklisted as repeat offenders during the soak.
@@ -243,15 +235,15 @@ class SoakResult:
     #: (:class:`~repro.obs.lifecycle.FaultChainSummary`) exported by the
     #: telemetry layer; empty when telemetry is disabled.
     fault_chains: tuple = ()
-    #: Requests shed by overload protection, by reason (summed across models).
+    #: Requests shed by overload protection, by reason.
     shed_queue_full: int = 0
     shed_breaker: int = 0
     shed_deadline: int = 0
     #: Requests answered while the model carried degraded (inexact) layers.
     served_degraded: int = 0
-    #: Deepest any model's bounded queue ever got (memory-bound witness).
+    #: Deepest the bounded queue ever got (memory-bound witness).
     queue_depth_highwater: int = 0
-    #: Circuit-breaker trips across all models (0 with breakers disabled).
+    #: Circuit-breaker trips (0 with the breaker disabled).
     breaker_opens: int = 0
     #: Request-level SLO snapshot of the primary model (None on legacy runs
     #: predating the chaos harness fields).
@@ -317,7 +309,6 @@ def run_soak(
     request_interval_seconds: float = 0.002,
     trained: bool = False,
     seed: int = 0,
-    flips_per_event: int = 1,
     service_config: Optional[ServiceConfig] = None,
     drain_timeout_seconds: float = 60.0,
     milr_config: Optional[MILRConfig] = None,
@@ -327,8 +318,6 @@ def run_soak(
     trace_out: Optional[str] = None,
     metrics_out: Optional[str] = None,
     traffic: Optional[TrafficShape] = None,
-    extra_networks: Sequence[str] = (),
-    availability_target: Optional[float] = None,
 ) -> SoakResult:
     """Serve continuous traffic under Poisson bit-flip pressure, then drain.
 
@@ -353,12 +342,10 @@ def run_soak(
 
     ``traffic`` replaces the legacy fixed-interval request loop with
     deterministic trace replay of a :class:`TrafficShape`: the shape expands
-    once (seeded) into arrival offsets, per-arrival model routing (against
-    ``extra_networks``, loaded alongside the primary) and slow-client result
-    delays, and the replay thread submits each arrival at its offset --
-    falling behind (e.g. a blocked admission) shifts later arrivals rather
-    than dropping them.  Requests shed by overload protection are counted,
-    not errors.
+    once (seeded) into arrival offsets, per-arrival model routing and
+    slow-client result delays, and the replay thread submits each arrival at
+    its offset -- falling behind shifts later arrivals rather than dropping
+    them.  Requests shed by overload protection are counted, not errors.
     """
     if duration_seconds <= 0:
         raise ExperimentError("duration_seconds must be positive")
@@ -366,10 +353,6 @@ def run_soak(
     config = replace(config, scrub_period_seconds=scrub_period_seconds)
     service = SelfHealingService(config)
     entry = service.load_model(network, trained=trained, milr_config=milr_config)
-    extras = [
-        service.load_model(name, trained=trained, milr_config=milr_config)
-        for name in extra_networks
-    ]
 
     golden = {
         index: entry.model.layers[index].get_weights()
@@ -377,12 +360,9 @@ def run_soak(
     }
 
     # Synthetic request traffic: a small pool of PRNG samples reused
-    # round-robin (one pool per model -- input shapes differ across networks).
+    # round-robin.
     rng = np.random.default_rng(seed)
-    pools = {
-        e.name: rng.random((32,) + e.model.input_shape).astype(FLOAT_DTYPE)
-        for e in [entry, *extras]
-    }
+    pool = rng.random((32,) + entry.model.input_shape).astype(FLOAT_DTYPE)
     requests: list[InferenceRequest] = []
     traffic_stop = threading.Event()
     traffic_errors: list[str] = []
@@ -395,7 +375,6 @@ def run_soak(
     def _traffic() -> None:
         cursor = 0
         try:
-            pool = pools[entry.name]
             while not traffic_stop.is_set():
                 try:
                     requests.append(
@@ -414,9 +393,8 @@ def run_soak(
 
     def _replay() -> None:
         # Single-submitter trace replay: arrivals fire at their recorded
-        # offsets; when the submitter falls behind (a blocked admission or a
-        # burst outrunning this thread) later arrivals shift instead of being
-        # skipped, matching simulate_admission's clock semantics.
+        # offsets; when the submitter falls behind (a burst outrunning this
+        # thread) later arrivals shift instead of being skipped.
         assert traffic is not None
         cursor = 0
         epoch = time.perf_counter()
@@ -429,8 +407,7 @@ def run_soak(
                 if wait > 0 and traffic_stop.wait(wait):
                     return
                 target = arrival.model or entry.name
-                pool = pools.get(target)
-                if pool is None:
+                if target != entry.name:
                     traffic_errors.append(
                         f"ExperimentError: trace routed to unknown model {target!r}"
                     )
@@ -486,7 +463,6 @@ def run_soak(
         entry,
         mean_interval_seconds=mean_fault_interval_seconds,
         seed=seed,
-        flips_per_event=flips_per_event,
         max_events=max_fault_events,
         layer_indices=fault_layer_indices,
         fault_models=fault_models,
@@ -583,23 +559,9 @@ def run_soak(
         for index in entry.parameterized_indices
     )
 
-    sla = entry.tracker.report(
-        config.scrub_period_seconds,
-        yearly_accuracy_floor=config.yearly_accuracy_floor,
-    )
-    slo = entry.tracker.slo_report(
-        config.scrub_period_seconds,
-        availability_target=(
-            availability_target
-            if availability_target is not None
-            else config.slo_availability_target
-        ),
-        yearly_accuracy_floor=config.yearly_accuracy_floor,
-    )
-    all_entries = [entry, *extras]
-    breaker_opens = sum(
-        e.breaker.opens for e in all_entries if e.breaker is not None
-    )
+    sla = entry.tracker.report(config.scrub_period_seconds)
+    slo = entry.tracker.slo_report(config.scrub_period_seconds)
+    stats = entry.stats
     return SoakResult(
         network=network,
         duration_seconds=elapsed,
@@ -608,9 +570,8 @@ def run_soak(
         detected_layers=frozenset(entry.ever_quarantined),
         requests_completed=completed,
         requests_failed=failed,
-        served_during_quarantine=entry.stats.served_during_quarantine,
+        served_during_quarantine=stats.served_during_quarantine,
         plan_invalidations=entry.model.plan_stats.invalidations,
-        samples_padded=entry.stats.samples_padded,
         throughput_rps=completed / elapsed if elapsed > 0 else 0.0,
         mean_latency_seconds=float(np.mean(latencies)) if latencies else 0.0,
         p50_latency_seconds=latency_percentile(latencies, 50),
@@ -618,22 +579,19 @@ def run_soak(
         bit_exact=bit_exact,
         converged=converged,
         scratch_detections=entry.model.plan_stats.scratch_detections,
-        fused_served=entry.stats.fused_served,
-        fused_fallbacks=entry.stats.fused_fallbacks,
-        uncertified_fused_served=entry.stats.uncertified_fused_served,
+        fused_served=stats.fused_served,
+        fused_fallbacks=stats.fused_fallbacks,
         remap_repairs=entry.remap_repairs,
         blacklisted_cells=entry.blacklisted_cell_count,
         sla=sla,
         errors=tuple(traffic_errors),
         fault_chains=tuple(service.telemetry.fault_chains()),
-        shed_queue_full=sum(e.stats.shed_queue_full for e in all_entries),
-        shed_breaker=sum(e.stats.shed_breaker for e in all_entries),
-        shed_deadline=sum(e.stats.shed_deadline for e in all_entries),
-        served_degraded=sum(e.stats.served_degraded for e in all_entries),
-        queue_depth_highwater=max(
-            e.stats.queue_depth_highwater for e in all_entries
-        ),
-        breaker_opens=breaker_opens,
+        shed_queue_full=stats.shed_queue_full,
+        shed_breaker=stats.shed_breaker,
+        shed_deadline=stats.shed_deadline,
+        served_degraded=stats.served_degraded,
+        queue_depth_highwater=stats.queue_depth_highwater,
+        breaker_opens=entry.breaker.opens if entry.breaker is not None else 0,
         slo=slo,
     )
 
@@ -715,7 +673,6 @@ class ChaosRunResult:
             "served_degraded": self.soak.served_degraded,
             "queue_depth_highwater": self.soak.queue_depth_highwater,
             "breaker_opens": self.soak.breaker_opens,
-            "uncertified_fused_served": self.soak.uncertified_fused_served,
             "converged": self.soak.converged,
             "bit_exact": self.soak.bit_exact,
             "fault_events": len(self.soak.fault_events),
@@ -741,10 +698,9 @@ def run_chaos_scenario(
     The scenario's traffic factory is scaled to ``capacity_rps`` (measured by
     :func:`calibrate_capacity` when not given), its overload-protection
     fields override the service config, and the resulting soak is checked
-    for: admitted-request availability >= the scenario's target, drain
-    convergence, bounded queue memory, zero uncertified-fused serves and a
-    clean traffic thread.  Violations come back as strings so the CLI can
-    print them and exit nonzero.
+    for: admitted-request availability >= its target, drain convergence,
+    bounded queue memory and a clean traffic thread.  Violations come back
+    as strings so the CLI can print them and exit nonzero.
     """
     scenario = CHAOS_SCENARIOS.get(name)
     if scenario is None:
@@ -757,18 +713,12 @@ def run_chaos_scenario(
             network, seed=seed, trained=trained, milr_config=milr_config
         )
     traffic = scenario.traffic_factory(capacity_rps, seed)
-    config = service_config or ServiceConfig()
-    overrides: dict = {
-        "max_queue_depth": scenario.max_queue_depth,
-        "admission_policy": scenario.admission_policy,
-        "breaker_enabled": scenario.breaker_enabled,
-        "breaker_p99_threshold_seconds": scenario.breaker_p99_threshold_seconds,
-        "slo_availability_target": scenario.slo_availability_target,
-    }
-    if scenario.deadline_seconds is not None:
-        overrides["default_deadline_seconds"] = scenario.deadline_seconds
-    overrides.update(scenario.config_overrides)
-    config = replace(config, **overrides)
+    config = replace(
+        service_config or ServiceConfig(),
+        max_queue_depth=scenario.max_queue_depth,
+        breaker_enabled=scenario.breaker_enabled,
+        breaker_p99_threshold_seconds=scenario.breaker_p99_threshold_seconds,
+    )
     soak = run_soak(
         network=network,
         duration_seconds=duration_seconds,
@@ -776,7 +726,6 @@ def run_chaos_scenario(
         scrub_period_seconds=scrub_period_seconds,
         trained=trained,
         seed=seed,
-        flips_per_event=scenario.flips_per_event,
         service_config=config,
         milr_config=milr_config,
         fault_models=dict(scenario.fault_models) or None,
@@ -784,8 +733,6 @@ def run_chaos_scenario(
         trace_out=trace_out,
         metrics_out=metrics_out,
         traffic=traffic,
-        extra_networks=scenario.extra_networks,
-        availability_target=scenario.slo_availability_target,
     )
     violations: list[str] = []
     slo = soak.slo
@@ -796,11 +743,6 @@ def run_chaos_scenario(
         )
     if not soak.converged:
         violations.append("drain did not reach two consecutive clean detections")
-    if soak.uncertified_fused_served:
-        violations.append(
-            f"{soak.uncertified_fused_served} samples served through an "
-            "uncertified fused plan"
-        )
     if config.max_queue_depth > 0 and (
         soak.queue_depth_highwater > config.max_queue_depth
     ):

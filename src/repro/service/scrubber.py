@@ -6,7 +6,7 @@ sub-millisecond stretches and inference interleaves freely.  Layers with
 detected errors are quarantined (pausing that model's serving) and handed to
 a recovery worker, which re-runs detection on the quarantined subset for
 fresh CRC suspect masks, runs the MILR solvers, and then attempts the
-verified bit-exact repair (:mod:`repro.service.repair`).  Other models keep
+verified bit-exact repair (:mod:`repro.core.repair`).  Other models keep
 serving throughout.
 
 Detection slice durations and recovery durations are recorded in each model's
@@ -26,18 +26,34 @@ import numpy as np
 
 from repro.core.checkpoint import weight_fingerprint
 from repro.core.handlers import handler_for
-from repro.memory.bitops import bits_to_floats, floats_to_bits
-from repro.service.config import ServiceConfig
-from repro.service.registry import ManagedModel, ModelRegistry
-from repro.service.repair import (
+from repro.core.repair import (
     RepairOutcome,
     estimate_guided_repair,
     refine_recovered_weights,
 )
+from repro.memory.bitops import bits_to_floats, floats_to_bits
+from repro.service.config import ServiceConfig
+from repro.service.registry import ManagedModel, ModelRegistry
 
 __all__ = ["Scrubber"]
 
 _STOP = object()
+
+#: Parameterized layers checked per detection slice.  Small chunks hold the
+#: model lock for short stretches, letting inference interleave with scrubbing.
+SCRUB_CHUNK_LAYERS = 4
+
+#: Repair rounds within one recovery job, and recovery jobs a layer may fail
+#: verification in before it is released from quarantine in *degraded* state
+#: (best-effort weights, counted in the SLA report), so one unhealable layer
+#: cannot pin availability to zero.
+MAX_RECOVERY_ATTEMPTS = 3
+
+#: Bit-exact repairs of the *same memory cell* (word index, bit position) of
+#: a layer after which the cell is blacklisted as stuck-at hardware: its
+#: golden word is remembered and rewritten by a cheap remap pass at the start
+#: of every scrub, without waiting for full detection to flag the layer again.
+REPEAT_OFFENDER_THRESHOLD = 2
 
 
 class Scrubber:
@@ -124,7 +140,7 @@ class Scrubber:
         """
         self._remap_pass(entry)
         telemetry = self._telemetry
-        chunk_size = self._config.scrub_chunk_layers
+        chunk_size = SCRUB_CHUNK_LAYERS
         with entry.lock:
             skip = entry.quarantined
             targets = [i for i in entry.parameterized_indices if i not in skip]
@@ -253,7 +269,7 @@ class Scrubber:
         Called right after layer ``index`` healed bit-exactly (caller holds
         the lock, so the live words *are* the golden words).  Diffing them
         against the corrupted snapshot yields exactly the cells this repair
-        fixed; a cell corrected ``repeat_offender_threshold`` times is
+        fixed; a cell corrected ``REPEAT_OFFENDER_THRESHOLD`` times is
         stuck-at hardware, not random noise, and gets remapped.
         """
         healed_bits = floats_to_bits(entry.model.layers[index].get_weights()).ravel()
@@ -269,7 +285,7 @@ class Scrubber:
                     continue
                 cell = (word, bit)
                 offenders[cell] = offenders.get(cell, 0) + 1
-                if offenders[cell] >= self._config.repeat_offender_threshold:
+                if offenders[cell] >= REPEAT_OFFENDER_THRESHOLD:
                     blacklist[word] = int(healed_bits[word])
 
     def dispatch_recovery(self, entry: ManagedModel, indices: list[int]) -> None:
@@ -355,7 +371,6 @@ class Scrubber:
         bit-exact when the golden fingerprint confirms.  Caller holds the
         model lock.
         """
-        config = self._config
         telemetry = self._telemetry
         store = entry.protector.store
         assert store is not None
@@ -370,7 +385,6 @@ class Scrubber:
             fingerprint,
             store,
             entry.protector.config,
-            config,
         )
         telemetry.strategy_attempted("checkpoint_free", repaired is not None)
         if repaired is not None:
@@ -383,18 +397,11 @@ class Scrubber:
                 strategy="checkpoint_free",
             )
         estimate = handler.residual_repair_estimate(
-            layer, layer_plan, corrupted, entry.protector.recovery_engine, config
+            layer, layer_plan, corrupted, entry.protector.recovery_engine
         )
         if estimate is not None:
             layer.set_weights(estimate)
-            outcome = refine_recovered_weights(
-                layer,
-                corrupted,
-                fingerprint,
-                rtol=config.repair_rtol,
-                atol=config.repair_atol,
-                max_flips=config.repair_max_flips,
-            )
+            outcome = refine_recovered_weights(layer, corrupted, fingerprint)
             telemetry.strategy_attempted("residual_estimate", outcome.bit_exact)
             return dataclass_replace(outcome, strategy="residual_estimate")
         # Solver path: start from the stored bits so CRC localization (and the
@@ -403,27 +410,14 @@ class Scrubber:
         report = entry.protector.detect(layer_indices=[index])
         if report.erroneous_layers:
             entry.protector.recover(report)
-        outcome = refine_recovered_weights(
-            layer,
-            corrupted,
-            fingerprint,
-            rtol=config.repair_rtol,
-            atol=config.repair_atol,
-            max_flips=config.repair_max_flips,
-        )
+        outcome = refine_recovered_weights(layer, corrupted, fingerprint)
         telemetry.strategy_attempted("solver_snap", outcome.bit_exact)
         if outcome.bit_exact:
             return dataclass_replace(outcome, strategy="solver_snap")
         # Last resort: the solver estimate may be unbiased but noisier than
         # the snap tolerances (e.g. a bias recovered through a dense-layer
         # inversion); retry with the noise-adaptive fingerprint search.
-        repaired = estimate_guided_repair(
-            corrupted,
-            layer.get_weights(),
-            fingerprint,
-            atol=config.repair_atol,
-            max_flips=config.repair_max_flips,
-        )
+        repaired = estimate_guided_repair(corrupted, layer.get_weights(), fingerprint)
         telemetry.strategy_attempted("estimate_guided", repaired is not None)
         if repaired is not None:
             layer.set_weights(repaired)
@@ -439,7 +433,7 @@ class Scrubber:
         """Recover quarantined layers, then try the verified bit-exact repair.
 
         Repairs run in layer order and are iterated for up to
-        ``max_recovery_attempts`` rounds within the job (lock held, so no new
+        ``MAX_RECOVERY_ATTEMPTS`` rounds within the job (lock held, so no new
         faults interleave): a layer whose golden input/output passes travelled
         through a still-corrupted neighbour in round one heals in round two,
         after the neighbour's functional repair.  Layers still failing
@@ -450,7 +444,6 @@ class Scrubber:
         best functional estimate while the original bits are stashed for
         :meth:`reopen_degraded`.
         """
-        config = self._config
         telemetry = self._telemetry
         attempted_layers = 0
         healed_layers = 0
@@ -475,7 +468,7 @@ class Scrubber:
                     outcomes: dict[int, RepairOutcome] = {}
                     still_bad = set(flagged)
                     verify_began = verify_ended = recover_span.start
-                    for round_number in range(1, config.max_recovery_attempts + 1):
+                    for round_number in range(1, MAX_RECOVERY_ATTEMPTS + 1):
                         if not still_bad:
                             break
                         for index in sorted(still_bad, key=self._repair_order(entry)):
@@ -513,7 +506,7 @@ class Scrubber:
                             continue
                         attempts = entry.recovery_attempts.get(index, 0) + 1
                         entry.recovery_attempts[index] = attempts
-                        if attempts >= config.max_recovery_attempts:
+                        if attempts >= MAX_RECOVERY_ATTEMPTS:
                             # Degrade: serve the best functional estimate, stash
                             # the stored bits for a later re-opened repair.
                             entry.degraded[index] = weight_fingerprint(

@@ -20,7 +20,7 @@ queue, or dropped at their deadline, independent of wall-clock jitter.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -488,25 +488,19 @@ def simulate_admission(
     trace: Trace,
     service_seconds_per_request: float,
     max_queue_depth: int = 0,
-    policy: str = "reject",
     deadline_seconds: Optional[float] = None,
-    block_timeout_seconds: float = 1.0,
 ) -> AdmissionSimulation:
     """Replay a trace through a deterministic single-worker queue model.
 
     This is the pure-function counterpart of the engine's admission
     controller: one FIFO worker with constant per-request service time, a
-    bounded in-system request count, reject/block admission and
-    drop-before-compute deadlines.  It models the *single-submitter* replay
-    mode :func:`~repro.service.runtime.run_soak` uses (a blocked submit under
-    the ``block`` policy delays every later arrival), so the same trace
-    always yields the same admission decisions -- the property the chaos
-    harness's determinism tests pin down.
+    bounded in-system request count that sheds arrivals finding it full, and
+    drop-before-compute deadlines.  The same trace always yields the same
+    admission decisions -- the property the chaos harness's determinism
+    tests pin down.
     """
     if service_seconds_per_request <= 0:
         raise ExperimentError("service_seconds_per_request must be positive")
-    if policy not in ("reject", "block"):
-        raise ExperimentError("policy must be 'reject' or 'block'")
     if max_queue_depth < 0:
         raise ExperimentError("max_queue_depth must be non-negative")
     service = float(service_seconds_per_request)
@@ -515,29 +509,16 @@ def simulate_admission(
     #: admitted requests, non-decreasing by FIFO construction.
     finish: list[float] = []
     server_free = 0.0
-    clock = 0.0  # single submitter: a blocked admit delays later arrivals
     served = shed_queue = shed_deadline = 0
     for offset in trace.offsets:
-        t = max(float(offset), clock)
-        clock = t
-        admit_at = t
+        t = float(offset)
         if max_queue_depth > 0:
             in_system = len(finish) - bisect_right(finish, t)
             if in_system >= max_queue_depth:
-                if policy == "reject":
-                    decisions.append("shed_queue")
-                    shed_queue += 1
-                    continue
-                # block: space frees when in-system drops below the bound.
-                frees_at = finish[len(finish) - max_queue_depth]
-                if frees_at - t > block_timeout_seconds:
-                    decisions.append("shed_queue")
-                    shed_queue += 1
-                    clock = t + block_timeout_seconds
-                    continue
-                admit_at = frees_at
-                clock = admit_at
-        start = max(admit_at, server_free)
+                decisions.append("shed_queue")
+                shed_queue += 1
+                continue
+        start = max(t, server_free)
         if deadline_seconds is not None and start > t + deadline_seconds:
             # The worker pops the expired request at `start` and drops it
             # before compute.
@@ -567,8 +548,9 @@ class ChaosScenario:
     ``traffic_factory(capacity_rps, seed)`` builds the scenario's traffic
     shape scaled to the service's measured sustained capacity, so "3x
     overload" means the same thing on every machine.  The remaining fields
-    parameterize the soak (fault mix, overload protection) and the SLO gate
-    the run is judged against.
+    parameterize the soak (fault mix, overload protection); every scenario
+    is judged against the default availability target (0.99) of
+    :meth:`~repro.service.sla.SLATracker.slo_report`.
     """
 
     name: str
@@ -578,14 +560,8 @@ class ChaosScenario:
     mean_fault_interval_seconds: float = 0.25
     reassert_interval_seconds: float = 0.2
     max_queue_depth: int = 256
-    admission_policy: str = "reject"
-    deadline_seconds: Optional[float] = None
     breaker_enabled: bool = False
     breaker_p99_threshold_seconds: float = 0.25
-    slo_availability_target: float = 0.99
-    extra_networks: tuple = ()
-    flips_per_event: int = 1
-    config_overrides: Mapping[str, object] = field(default_factory=dict)
 
 
 def _burst_storm_traffic(capacity_rps: float, seed: int) -> TrafficShape:
@@ -631,7 +607,6 @@ CHAOS_SCENARIOS: dict[str, ChaosScenario] = {
         fault_models=(("stuck_at", 1.0), ("row_hammer", 1.0), ("activation", 1.0)),
         mean_fault_interval_seconds=0.3,
         max_queue_depth=256,
-        admission_policy="reject",
         breaker_enabled=True,
         breaker_p99_threshold_seconds=0.5,
     ),
@@ -646,7 +621,6 @@ CHAOS_SCENARIOS: dict[str, ChaosScenario] = {
         mean_fault_interval_seconds=0.4,
         reassert_interval_seconds=0.15,
         max_queue_depth=512,
-        admission_policy="reject",
     ),
     "straggler-flood": ChaosScenario(
         name="straggler-flood",
@@ -658,7 +632,6 @@ CHAOS_SCENARIOS: dict[str, ChaosScenario] = {
         fault_models=(("row_hammer", 1.0), ("activation", 1.0)),
         mean_fault_interval_seconds=0.35,
         max_queue_depth=128,
-        admission_policy="reject",
         breaker_enabled=True,
         breaker_p99_threshold_seconds=0.5,
     ),

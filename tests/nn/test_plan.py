@@ -28,8 +28,9 @@ from repro.nn import (
     ZeroPadding2D,
     compile_plan,
 )
+import repro.nn.model
 from repro.nn.model import PLAN_CACHE_SIZE
-from repro.nn.plan import plan_weight_fingerprint
+from repro.nn.plan import certify_fusion, plan_weight_fingerprint
 from repro.zoo import network_table
 
 
@@ -274,7 +275,6 @@ class TestFusionCertification:
         assert info["mode"] == "fused"
         assert info["certificate"] is not None and info["certificate"].certified
         assert info["certified_now"]
-        assert not info["uncertified"]
         assert info["certificate"].max_ulp <= info["certificate"].ulp_bound
         assert model.plan_stats.certifications == 1
         seed = model.predict(inputs, use_plan=False)
@@ -286,18 +286,49 @@ class TestFusionCertification:
         assert model.plan_stats.certifications == 1
         assert model.plan_stats.fused_hits == 1
 
-    def test_uncertifiable_network_falls_back_bit_exact(self):
+    def test_uncertifiable_network_falls_back_bit_exact(self, monkeypatch):
+        def failing(model, fused_plan, exact_plan):
+            # A negative bound nothing can meet: force the fallback.
+            return certify_fusion(model, fused_plan, exact_plan, ulp_bound=-1)
+
+        monkeypatch.setattr(repro.nn.model, "certify_fusion", failing)
         model = self._model()
-        model.fusion_ulp_bound = -1  # nothing can pass: force the fallback
         rng = np.random.default_rng(1)
         inputs = rng.random((3, 28, 28, 1)).astype(np.float32)
         outputs, info = model.predict_served(inputs, fused=True)
         assert info["mode"] == "fallback"
         assert info["certificate"] is not None
         assert not info["certificate"].certified
-        assert not info["uncertified"]  # fallback never serves the fused plan
         assert model.plan_stats.fallbacks == 1
         assert outputs.tobytes() == model.predict(inputs, use_plan=False).tobytes()
+
+    def test_fused_serves_always_carry_a_passing_certificate(self):
+        # The only route to a fused serve is through a passing certificate --
+        # also on the serve right after a weight change forces
+        # re-certification under a new digest.
+        model = self._model("mnist_bn")
+        rng = np.random.default_rng(6)
+        inputs = rng.random((3, 28, 28, 1)).astype(np.float32)
+        layer = next(x for x in model.layers if x.has_parameters)
+        original = layer.get_weights().copy()
+        nudged = original.copy()
+        nudged.flat[0] += 0.5
+        serves = []
+        for weights in (None, nudged, original):
+            if weights is not None:
+                layer.set_weights(weights)
+            for _ in range(2):
+                serves.append(model.predict_served(inputs, fused=True)[1])
+        # The nudge forced a fresh certification, and that very serve went
+        # out fused.
+        assert serves[2]["certified_now"]
+        assert serves[2]["mode"] == "fused"
+        fused = [info for info in serves if info["mode"] == "fused"]
+        assert len(fused) + model.plan_stats.fallbacks == len(serves)
+        for info in fused:
+            assert info["certificate"] is not None
+            assert info["certificate"].certified
+            assert info["certificate"].max_ulp <= info["certificate"].ulp_bound
 
     def test_hit_buckets_split_fused_and_exact(self):
         model = self._model()

@@ -2,9 +2,40 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
+from repro.nn import Sequential
 from repro.service import SelfHealingService, ServiceConfig
+
+
+@contextmanager
+def _record_fused_serves():
+    """Collect the certificate of every ``"fused"`` serve while active.
+
+    Wraps :meth:`Sequential.predict_served` (every engine batch and plan
+    warm-up goes through it) and yields the list it appends to, so a soak
+    can assert that each fused serve carried a passing certificate.
+    """
+    served = Sequential.predict_served
+    certificates: list = []
+
+    def recording(model, *args, **kwargs):
+        outputs, info = served(model, *args, **kwargs)
+        if info["mode"] == "fused":
+            certificates.append(info["certificate"])
+        return outputs, info
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Sequential, "predict_served", recording)
+        yield certificates
+
+
+@pytest.fixture(scope="session")
+def record_fused_serves():
+    """Context-manager factory around :func:`_record_fused_serves`."""
+    return _record_fused_serves
 
 
 @pytest.fixture

@@ -84,48 +84,6 @@ class TestBoundedQueueAdmission:
         finally:
             service.stop()
 
-    def test_block_policy_times_out_then_sheds(self):
-        service, entry = wedged_service(
-            admission_policy="block", admission_block_timeout_seconds=0.2
-        )
-        try:
-            service.submit(entry.name, sample_for(entry))
-            wait_for_worker_pickup(service, entry)
-            service.submit(entry.name, sample_for(entry))
-            began = time.perf_counter()
-            with pytest.raises(ServiceOverloadError) as excinfo:
-                service.submit(entry.name, sample_for(entry))
-            waited = time.perf_counter() - began
-            assert excinfo.value.reason == "queue_full"
-            assert waited >= 0.2
-            assert entry.stats.shed_queue_full == 1
-            entry.clear_quarantine([entry.parameterized_indices[0]])
-        finally:
-            service.stop()
-
-    def test_block_policy_admits_when_space_frees(self):
-        service, entry = wedged_service(
-            admission_policy="block", admission_block_timeout_seconds=5.0
-        )
-        try:
-            first = service.submit(entry.name, sample_for(entry))
-            wait_for_worker_pickup(service, entry)
-            second = service.submit(entry.name, sample_for(entry))
-            releaser = threading.Timer(
-                0.2,
-                entry.clear_quarantine,
-                args=([entry.parameterized_indices[0]],),
-            )
-            releaser.start()
-            # Blocks against the full queue until the release drains it.
-            third = service.submit(entry.name, sample_for(entry))
-            releaser.join()
-            for request in (first, second, third):
-                request.result(timeout=10.0)
-            assert entry.stats.requests_shed == 0
-        finally:
-            service.stop()
-
     def test_queue_full_admission_race_conserves_requests(self):
         """Concurrent submitters against a full queue: admitted + shed == sent."""
         service, entry = wedged_service(max_queue_depth=4)
@@ -223,11 +181,7 @@ class TestDeadlines:
         # the deadline-aware cut fires at half the budget instead of letting
         # the gather burn the whole window.
         service = SelfHealingService(
-            ServiceConfig(
-                batch_timeout_seconds=2.0,
-                scrub_period_seconds=30.0,
-                deadline_batch_cut=True,
-            )
+            ServiceConfig(batch_timeout_seconds=2.0, scrub_period_seconds=30.0)
         )
         entry = service.load_model("mnist_reduced")
         service.start(scrub=False)
@@ -421,6 +375,59 @@ class TestCircuitBreakerInEngine:
             assert entry.breaker.state == "open"
             assert entry.stats.shed_breaker == 1
             entry.clear_quarantine([entry.parameterized_indices[0]])
+        finally:
+            service.stop()
+
+    @staticmethod
+    def _hold_model_lock(entry, seconds):
+        """Hold ``entry.lock`` from another thread, as a batch forward or a
+        recovery job does; returns the thread once the lock is taken."""
+        taken = threading.Event()
+
+        def hold():
+            with entry.lock:
+                taken.set()
+                time.sleep(seconds)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        assert taken.wait(timeout=5.0)
+        return holder
+
+    @pytest.mark.parametrize("quarantined", [False, True])
+    def test_armed_breaker_admission_never_waits_for_the_model_lock(
+        self, quarantined
+    ):
+        depth = 2
+        service = SelfHealingService(
+            ServiceConfig(
+                breaker_enabled=True,
+                breaker_quarantine_depth=depth,
+                scrub_period_seconds=30.0,
+            )
+        )
+        entry = service.load_model("mnist_reduced")
+        layers = entry.parameterized_indices[:depth]
+        service.start(scrub=False)
+        try:
+            if quarantined:
+                entry.quarantine(layers)
+            holder = self._hold_model_lock(entry, 1.0)
+            began = time.perf_counter()
+            if quarantined:
+                # The depth trip fires while the lock is busy -- the case a
+                # running recovery job creates.
+                with pytest.raises(ServiceOverloadError) as excinfo:
+                    service.submit(entry.name, sample_for(entry))
+                assert excinfo.value.reason == "breaker_open"
+            else:
+                request = service.submit(entry.name, sample_for(entry))
+            assert time.perf_counter() - began < 0.1
+            holder.join(timeout=5.0)
+            if quarantined:
+                entry.clear_quarantine(layers)
+            else:
+                request.result(timeout=10.0)
         finally:
             service.stop()
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError, ShapeError
+from repro.nn import Sequential
 from repro.service import ModelRegistry, SelfHealingService, ServiceConfig
 
 
@@ -19,7 +20,7 @@ class TestModelRegistry:
         assert entry.is_healthy()
 
     def test_conv_layers_store_crc_codes(self, sync_service):
-        """`store_conv_crc` equips every conv layer for self-contained repair."""
+        """Registration equips every conv layer for self-contained repair."""
         _, entry = sync_service
         store = entry.protector.store
         from repro.nn.layers import Conv2D
@@ -128,47 +129,48 @@ class TestInferenceEngine:
             service.submit("late", sample).result(timeout=10.0)
         assert entry.stats.requests_completed == 1
 
-    def test_partial_batches_are_not_padded_by_default(self, sync_service, rng):
+    def test_partial_batches_are_not_padded_by_default(
+        self, sync_service, rng, monkeypatch
+    ):
         service, entry = sync_service
         sample = rng.random(entry.model.input_shape).astype(np.float32)
+        forward_batches: list[int] = []
+        served = Sequential.predict_served
+
+        def recording(model, inputs, *args, **kwargs):
+            forward_batches.append(len(inputs))
+            return served(model, inputs, *args, **kwargs)
+
         with service:
+            # Record only live serves, not the worker's plan warm-up.
             service.submit(entry.name, sample).result(timeout=10.0)
-        # A 1-request batch computes exactly 1 sample (the seed engine padded
-        # it to max_batch and threw the rest away).
-        assert entry.stats.samples_served >= 1
-        assert entry.stats.samples_padded == 0
+            monkeypatch.setattr(Sequential, "predict_served", recording)
+            service.submit(entry.name, sample).result(timeout=10.0)
+        # A lone request runs a 1-sample forward: partial batches are never
+        # padded to max_batch.
+        assert forward_batches == [1]
+        assert entry.stats.samples_served == 2
 
     def test_plan_cache_sized_for_max_batch(self):
         service = SelfHealingService(ServiceConfig(recovery_async=False, max_batch=24))
         entry = service.load_model("mnist_reduced", name="big_batches")
         assert entry.model.plan_cache_size >= 24 + 2
 
-    def test_fixed_batch_shape_pads_and_counts(self, rng):
-        service = SelfHealingService(
-            ServiceConfig(recovery_async=False, fixed_batch_shape=True, max_batch=4)
-        )
-        with service:
-            entry = service.load_model("mnist_reduced", name="padded")
-            sample = rng.random(entry.model.input_shape).astype(np.float32)
-            service.submit("padded", sample).result(timeout=10.0)
-        assert entry.stats.samples_served == 1
-        assert entry.stats.samples_padded == 3
-
     def test_engine_outputs_match_unbatched_predict_exactly(self, rng):
-        # With fused serving pinned off, the engine serves through the
-        # bit-exact plan and results must be byte-identical to a direct
-        # (seed-path) forward of the same samples.
+        # Four requests form one batch (a window far longer than the submit
+        # loop), so each request's answer must be byte-identical to its row of
+        # a direct fused forward of the same four samples: the request ->
+        # output-row mapping is exact, bit for bit.
         service = SelfHealingService(
-            ServiceConfig(recovery_async=False, fused_forward=False)
+            ServiceConfig(recovery_async=False, max_batch=4, batch_timeout_seconds=5.0)
         )
         entry = service.load_model("mnist_reduced")
-        samples = rng.random((5,) + entry.model.input_shape).astype(np.float32)
+        samples = rng.random((4,) + entry.model.input_shape).astype(np.float32)
         with service:
             outputs = service.predict(entry.name, samples, timeout=10.0)
-        expected = entry.model.predict(samples, use_plan=False)
+        assert entry.stats.batches_executed == 1
+        expected = entry.model.predict(samples, fused=True)
         assert outputs.tobytes() == expected.tobytes()
-        assert entry.stats.fused_served == 0
-        assert entry.stats.fused_fallbacks == 0
 
     def test_fused_default_serves_certified_and_attributes_stats(
         self, sync_service, rng
@@ -178,10 +180,9 @@ class TestInferenceEngine:
         with service:
             service.predict(entry.name, samples, timeout=10.0)
         # The default config serves fused behind certification: every request
-        # was answered by a certified fused plan, the (one) calibration run is
-        # accounted, and the uncertified-serve invariant held.
+        # was answered by a certified fused plan and the (one) calibration
+        # run is accounted.
         assert entry.stats.fused_served == len(samples)
-        assert entry.stats.uncertified_fused_served == 0
         assert entry.stats.fusion_certifications >= 1
         assert entry.model.plan_stats.certifications >= 1
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.core.checkpoint import weight_fingerprint
 from repro.crc.twod import TwoDimensionalCRC
-from repro.service.repair import (
+from repro.core.repair import (
     crc_guided_kernel_repair,
     estimate_guided_repair,
     snap_to_bit_flips,

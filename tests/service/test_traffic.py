@@ -254,35 +254,6 @@ class TestAdmissionSimulation:
         assert sim.served + sim.shed_deadline == len(trace)
         assert sim.admitted == len(trace)
 
-    def test_block_policy_admits_after_wait_within_timeout(self):
-        reject = simulate_admission(
-            ConstantTraffic(rate_rps=50.0).arrivals(1.0),
-            service_seconds_per_request=0.04,
-            max_queue_depth=2,
-            policy="reject",
-        )
-        block = simulate_admission(
-            ConstantTraffic(rate_rps=50.0).arrivals(1.0),
-            service_seconds_per_request=0.04,
-            max_queue_depth=2,
-            policy="block",
-            block_timeout_seconds=1.0,
-        )
-        # Blocking trades the submitter's time for admissions.
-        assert block.served >= reject.served
-        assert block.shed_queue <= reject.shed_queue
-
-    def test_block_timeout_expiry_sheds(self):
-        trace = Trace(offsets=np.array([0.0, 0.0, 0.0]))
-        sim = simulate_admission(
-            trace,
-            service_seconds_per_request=10.0,
-            max_queue_depth=1,
-            policy="block",
-            block_timeout_seconds=0.1,
-        )
-        assert sim.decisions == ("served", "shed_queue", "shed_queue")
-
     def test_simulation_is_deterministic(self):
         trace = PoissonTraffic(rate_rps=300.0, seed=12).arrivals(2.0)
         kwargs = dict(
@@ -298,8 +269,6 @@ class TestAdmissionSimulation:
         trace = Trace(offsets=np.array([0.0]))
         with pytest.raises(ExperimentError):
             simulate_admission(trace, service_seconds_per_request=0.0)
-        with pytest.raises(ExperimentError):
-            simulate_admission(trace, 0.01, policy="drop")
         with pytest.raises(ExperimentError):
             simulate_admission(trace, 0.01, max_queue_depth=-1)
 
@@ -325,4 +294,3 @@ class TestChaosScenarios:
         for scenario in CHAOS_SCENARIOS.values():
             assert scenario.max_queue_depth > 0
             assert scenario.fault_models
-            assert 0.0 < scenario.slo_availability_target <= 1.0

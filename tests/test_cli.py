@@ -374,7 +374,6 @@ class TestChaosAndOverloadCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "straggler-flood"
         assert payload["passed"] is True
-        assert payload["uncertified_fused_served"] == 0
         assert "admitted_availability" in payload["slo"]
 
     def test_serve_command_reports_overload_columns(self, capsys):
