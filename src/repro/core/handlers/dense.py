@@ -6,6 +6,10 @@ never has to trust an activation that travelled through another, possibly
 erroneous, layer.  That system is square, so recovery solves it by LU
 factorization.  Inversion pads the weight matrix with dummy parameter columns
 when ``P < N``.
+
+The service's repair chain first tries a sparse residual repair on the same
+stored system: a few corrupted words per output column are located and
+re-solved directly, so a live heal skips the full ``N x N`` solve.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from repro.core.handlers.base import (
 )
 from repro.core.inversion import invert_dense
 from repro.core.planner import InversionStrategy, LayerPlan, RecoveryStrategy
-from repro.core.solvers import solve_dense_parameters
+from repro.core.repair import sparse_kernel_repair
+from repro.core.solvers import _dense_dummy_system, solve_dense_parameters
 from repro.nn.layers import Dense
 from repro.types import FLOAT_DTYPE
 
@@ -30,7 +35,14 @@ __all__ = ["DenseProtectionHandler"]
 
 @register_handler(Dense)
 class DenseProtectionHandler(LayerProtectionHandler):
-    """Dense: self-contained square dummy-row system solved by LU, dummy-column inversion."""
+    """Dense: self-contained square dummy-row system solved by LU, dummy-column inversion.
+
+    The repair chain's residual hook runs orthogonal matching pursuit on that
+    stored system instead of solving it whole: when at most 8 words per
+    output column are corrupted, their golden values come out of a few tiny
+    least-squares fits, which the scrubber's fingerprint-verified snap makes
+    bit-exact.  Campaigns and :meth:`solve` keep the full LU solve.
+    """
 
     #: Dense solves are neighbour-independent (stored dummy system), but not
     #: as cheap as the stored-data-only repairs of rank 0.
@@ -120,3 +132,25 @@ class DenseProtectionHandler(LayerProtectionHandler):
         suspect_mask: Optional[np.ndarray] = None,
     ):
         return solve_dense_parameters(layer, plan, golden_input, golden_output, store, prng)
+
+    # ------------------------------------------------------------------ #
+    # Bit-exact repair chain
+    # ------------------------------------------------------------------ #
+    def residual_repair_estimate(
+        self, layer: Dense, plan, corrupted, engine
+    ) -> Optional[np.ndarray]:
+        """Sparse repair on the stored dummy system, or ``None``.
+
+        Only a self-contained system qualifies: it needs no golden pass, so
+        corrupted neighbours cannot skew it.  The estimate is returned only
+        when every column's residual was explained and at least one word
+        changed; a corruption below the pursuit's tolerance changes nothing
+        and is left to the solver.
+        """
+        if not self.is_self_contained(layer, plan):
+            return None
+        rows, outputs = _dense_dummy_system(layer, plan, engine.store, engine.prng)
+        estimate, complete = sparse_kernel_repair(rows, outputs, corrupted)
+        if complete and np.any(estimate.view(np.uint32) != corrupted.view(np.uint32)):
+            return estimate
+        return None

@@ -80,6 +80,16 @@ class RecoveryEngine:
         self._store = store
         self._prng = prng
 
+    @property
+    def store(self) -> CheckpointStore:
+        """The checkpoint store recovery reads its stored data from."""
+        return self._store
+
+    @property
+    def prng(self) -> SeededTensorGenerator:
+        """The seeded generator that regenerates dummy data."""
+        return self._prng
+
     # ------------------------------------------------------------------ #
     def _checkpoint_activation(self, index: int) -> np.ndarray:
         """Activation entering layer ``index`` (regenerated for index 0)."""

@@ -32,6 +32,7 @@ from repro.crc.twod import CRCCode2D, TwoDimensionalCRC
 from repro.types import BITS_PER_WEIGHT, FLOAT_DTYPE
 
 __all__ = [
+    "MAX_CRC_SUSPECTS",
     "RepairOutcome",
     "snap_to_bit_flips",
     "sparse_kernel_repair",
@@ -70,6 +71,13 @@ _MASK_CACHE: dict[int, list[np.ndarray]] = {}
 #: Network weights are O(1); a word beyond this magnitude can only be
 #: exponent-bit corruption and is treated as a definite repair suspect.
 _EXTREME_MAGNITUDE = 1e8
+
+#: The CRC-guided search refuses a kernel whose first localization flags more
+#: suspects than this.  Each suspect may try up to 528 bit-flip candidates at
+#: two pure-Python CRC passes each, all under the model lock, and on a
+#: 3x3x8x8 kernel with CRC-8 groups of 4 no search over more suspects ended
+#: bit-exact.  Such corruption is left to the solver strategies.
+MAX_CRC_SUSPECTS = 32
 
 
 def _masks_for(max_flips: int) -> list[np.ndarray]:
@@ -176,7 +184,8 @@ def sparse_kernel_repair(
     Returns:
         ``(estimate, complete)`` where ``estimate`` is ``corrupted_matrix``
         with sparse corrections applied and ``complete`` says every suspect
-        filter's residual was driven below tolerance.
+        filter's residual was driven below tolerance.  The pursuit stops at
+        the first filter it cannot explain; the estimate is then partial.
     """
     A = np.asarray(patches, dtype=np.float64)
     B = np.asarray(outputs, dtype=np.float64)
@@ -190,7 +199,6 @@ def sparse_kernel_repair(
     residual = B - A @ C
     estimate = np.where(suspicious, 0.0, C_raw).astype(FLOAT_DTYPE)
     col_norms = np.sqrt(np.maximum(np.einsum("mr,mr->r", A, A), 1e-30))
-    complete = True
 
     def _fit(support: list[int], f: int) -> tuple[np.ndarray, np.ndarray]:
         """Solve for the golden values of the support rows of filter ``f``.
@@ -226,11 +234,10 @@ def sparse_kernel_repair(
             scores[support] = -1.0
             support.append(int(np.argmax(scores)))
         if float(np.max(np.abs(fitted))) > tol:
-            complete = False
-            continue
+            return estimate, False
         for row, value in zip(support, values):
             estimate[row, f] = np.float32(value)
-    return estimate, complete
+    return estimate, True
 
 
 def crc_guided_kernel_repair(
@@ -254,15 +261,19 @@ def crc_guided_kernel_repair(
     Returns ``(repaired, complete)``; ``complete`` means the final
     localization pass found no remaining suspects.  Callers should still
     confirm against the golden weight fingerprint (CRC collisions are
-    unlikely, not impossible).
+    unlikely, not impossible).  A first localization with more than
+    :data:`MAX_CRC_SUSPECTS` suspects returns the corrupted kernel unsearched
+    and incomplete.
     """
     repaired = np.ascontiguousarray(corrupted, dtype=FLOAT_DTYPE).copy()
     crc_fn = crc8_bytes if crc.crc_bits == 8 else crc32_bytes
     group = crc.group_size
     f2_size, z_size, y_size = repaired.shape[1:]
     tiers = _masks_for(max_flips)
+    suspects = crc.localize_kernel(repaired, codes)
+    if int(np.count_nonzero(suspects)) > MAX_CRC_SUSPECTS:
+        return repaired, False
     for _ in range(max_rounds):
-        suspects = crc.localize_kernel(repaired, codes)
         if not suspects.any():
             return repaired, True
         progress = False
@@ -292,7 +303,8 @@ def crc_guided_kernel_repair(
                     break
         if not progress:
             break
-    return repaired, not crc.localize_kernel(repaired, codes).any()
+        suspects = crc.localize_kernel(repaired, codes)
+    return repaired, not suspects.any()
 
 
 def sparse_bias_repair(

@@ -348,13 +348,18 @@ class Sequential:
         Dropped fused plans recompile lazily and reuse the per-model
         certificate memo when the weights return to a previously certified
         state.
+
+        The sweep hashes each captured layer at most once, however many
+        cached plans share it: one fingerprint memo serves every plan, and it
+        lives only for this call, under the plan lock.
         """
         with self._plan_lock:
             dropped = 0
+            fingerprints: dict = {}
             for key, plan in list(self._plan_cache.items()):
                 if plan.epochs_current():
                     continue
-                if plan.fingerprints_match():
+                if plan.fingerprints_match(fingerprints):
                     plan.refresh_epochs()
                 else:
                     del self._plan_cache[key]

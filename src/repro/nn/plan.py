@@ -416,11 +416,20 @@ class ForwardPlan:
                 return False
         return True
 
-    def fingerprints_match(self) -> bool:
+    def fingerprints_match(self, memo: Optional[dict[Layer, bytes]] = None) -> bool:
         """Whether every captured layer's weights are byte-identical to the
-        bytes the plan was compiled from (blake2b comparison)."""
+        bytes the plan was compiled from (blake2b comparison).
+
+        ``memo`` maps layers to their live fingerprints; a sweep over several
+        plans passes one dict, so each layer is hashed at most once.  Share
+        it only while no weight can change, e.g. under the plan lock.
+        """
+        memo = {} if memo is None else memo
         for layer, _version, digest in self._captured:
-            if plan_weight_fingerprint(layer.get_weights()) != digest:
+            live = memo.get(layer)
+            if live is None:
+                live = memo[layer] = plan_weight_fingerprint(layer.get_weights())
+            if live != digest:
                 return False
         return True
 
@@ -531,8 +540,9 @@ class SlicedForwardPlan:
     def epochs_current(self) -> bool:
         return all(plan.epochs_current() for _s, _e, plan in self._slices)
 
-    def fingerprints_match(self) -> bool:
-        return all(plan.fingerprints_match() for _s, _e, plan in self._slices)
+    def fingerprints_match(self, memo: Optional[dict[Layer, bytes]] = None) -> bool:
+        memo = {} if memo is None else memo
+        return all(plan.fingerprints_match(memo) for _s, _e, plan in self._slices)
 
     def refresh_epochs(self) -> None:
         for _start, _stop, plan in self._slices:

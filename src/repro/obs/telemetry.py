@@ -158,12 +158,16 @@ class Telemetry:
         round_number: int,
         bit_exact: bool,
     ) -> None:
-        """One :meth:`Scrubber._repair_layer` call finished on one layer."""
+        """One :meth:`Scrubber._repair_layer` call finished on one layer.
+
+        The duration is labelled by the strategy that produced the outcome
+        and the layer index, so the slowest layer to repair is one lookup.
+        """
         if not self.enabled:
             return
         self.metrics.histogram(
             "repro_repair_seconds", buckets=self.config.latency_buckets,
-            model=model_name,
+            model=model_name, strategy=strategy or "none", layer=str(layer_index),
         ).observe(max(0.0, end - start))
         self.lifecycle.on_repair(
             model_name, layer_index, start, end, strategy, round_number, bit_exact

@@ -364,12 +364,13 @@ class Scrubber:
         bit-flip snap, even on later repair rounds.  The repair chain runs
         through the layer's protection handler: first the self-contained
         bit-exact repair from stored protection data alone (bias-sum search,
-        CRC-guided correction), then the residual-guided sparse estimate on
-        golden checkpoint passes (isolates the few corrupted coordinates
-        where a full solve would be under-determined), and finally the plain
-        MILR solver with snap refinement, which upgrades the estimate to
-        bit-exact when the golden fingerprint confirms.  Caller holds the
-        model lock.
+        CRC-guided correction), then the residual-guided sparse estimate
+        (isolates the few corrupted coordinates, on golden checkpoint passes
+        for convolutions and on the stored dummy system for dense layers),
+        and finally the plain MILR solver with snap refinement, which
+        upgrades the estimate to bit-exact when the golden fingerprint
+        confirms.  A step that does not end bit-exact falls through to the
+        next.  Caller holds the model lock.
         """
         telemetry = self._telemetry
         store = entry.protector.store
@@ -403,7 +404,8 @@ class Scrubber:
             layer.set_weights(estimate)
             outcome = refine_recovered_weights(layer, corrupted, fingerprint)
             telemetry.strategy_attempted("residual_estimate", outcome.bit_exact)
-            return dataclass_replace(outcome, strategy="residual_estimate")
+            if outcome.bit_exact:
+                return dataclass_replace(outcome, strategy="residual_estimate")
         # Solver path: start from the stored bits so CRC localization (and the
         # restricted solves it feeds) sees the actual corruption pattern.
         layer.set_weights(corrupted)

@@ -388,3 +388,117 @@ class TestDepthwiseProtection:
         # golden input for index 0 is the regenerated network input.
         golden_input = protector.recovery_engine.golden_input_for(0)
         assert golden_input.shape == (1,) + model.input_shape
+
+
+class TestDenseResidualRepair:
+    """The dense repair hook on head1_dense's shape: Dense(32) over 1152 inputs.
+
+    Every estimate the hook returns must snap to the golden bytes; whatever it
+    cannot explain it must leave to the solver by returning ``None``.
+    """
+
+    @pytest.fixture(scope="class")
+    def wide_dense(self):
+        model = Sequential([Dense(32, seed=20, name="d")])
+        model.build((1152,))
+        layer = model.get_layer("d")
+        weights = layer.get_weights()
+        weights[5, 3] = 1.0  # a flip of bit 30 turns it into +inf
+        weights[17, 9] = -1.5  # ... and this one into NaN
+        layer.set_weights(weights)
+        protector = MILRProtector(model, MILRConfig())
+        protector.initialize()
+        return layer, protector
+
+    @staticmethod
+    def _flip(golden: np.ndarray, cells, bits) -> np.ndarray:
+        words = golden.view(np.uint32).copy()
+        for cell, bit in zip(cells, bits):
+            words[cell] ^= np.uint32(1 << bit)
+        return words.view(np.float32)
+
+    @staticmethod
+    def _typical_rows(golden: np.ndarray, column: int) -> list[int]:
+        """Rows of ``column`` whose weight sits well above the noise floor."""
+        magnitude = np.abs(golden[:, column])
+        return [int(row) for row in np.flatnonzero((magnitude > 0.04) & (magnitude < 1.0))]
+
+    @staticmethod
+    def _estimate(wide_dense, corrupted, plan=None):
+        layer, protector = wide_dense
+        return handler_for(layer, 0).residual_repair_estimate(
+            layer,
+            plan or protector.plan.plan_for(0),
+            corrupted,
+            protector.recovery_engine,
+        )
+
+    @staticmethod
+    def _snaps_to_golden(wide_dense, corrupted, estimate) -> bool:
+        from repro.core.repair import snap_to_bit_flips
+
+        refined, _snapped, _kept = snap_to_bit_flips(corrupted, estimate)
+        return refined.tobytes() == wide_dense[0].get_weights().tobytes()
+
+    @pytest.mark.parametrize(
+        "cell, bit, effect",
+        [
+            (None, 31, "sign"),
+            (None, 30, "huge"),
+            (None, 29, "tiny"),
+            (None, 23, "doubled"),
+            ((5, 3), 30, "inf"),
+            ((17, 9), 30, "nan"),
+            (None, 22, "mantissa"),
+        ],
+    )
+    def test_single_flip_estimate_snaps_bit_exact(self, wide_dense, cell, bit, effect):
+        golden = wide_dense[0].get_weights()
+        if cell is None:
+            cell = (self._typical_rows(golden, 20)[0], 20)
+        corrupted = self._flip(golden, [cell], [bit])
+        value = float(corrupted[cell])
+        if effect == "inf":
+            assert np.isposinf(value)
+        elif effect == "nan":
+            assert np.isnan(value)
+        elif effect == "huge":
+            assert abs(value) > 1e8
+        estimate = self._estimate(wide_dense, corrupted)
+        assert estimate is not None
+        assert self._snaps_to_golden(wide_dense, corrupted, estimate)
+
+    @pytest.mark.parametrize("count", [2, 5, 8])
+    def test_several_words_in_one_column_snap_bit_exact(self, wide_dense, count):
+        golden = wide_dense[0].get_weights()
+        rows = self._typical_rows(golden, 11)[:count]
+        bits = [31, 30, 29, 27, 25, 23, 22, 28][:count]
+        corrupted = self._flip(golden, [(row, 11) for row in rows], bits)
+        estimate = self._estimate(wide_dense, corrupted)
+        assert estimate is not None
+        assert self._snaps_to_golden(wide_dense, corrupted, estimate)
+
+    def test_flip_below_the_pursuit_tolerance_is_left_to_the_solver(self, wide_dense):
+        golden = wide_dense[0].get_weights()
+        cell = (self._typical_rows(golden, 20)[0], 20)
+        corrupted = self._flip(golden, [cell], [8])
+        assert corrupted.tobytes() != golden.tobytes()
+        assert self._estimate(wide_dense, corrupted) is None
+
+    @pytest.mark.parametrize("count", [9, 16])
+    def test_more_words_per_column_than_the_support_returns_none(self, wide_dense, count):
+        golden = wide_dense[0].get_weights()
+        rows = self._typical_rows(golden, 11)[:count]
+        assert len(rows) == count
+        corrupted = self._flip(golden, [(row, 11) for row in rows], [29] * count)
+        assert self._estimate(wide_dense, corrupted) is None
+
+    def test_plan_without_a_complete_dummy_system_returns_none(self, wide_dense):
+        layer, protector = wide_dense
+        golden = layer.get_weights()
+        layer_plan = protector.plan.plan_for(0)
+        short_plan = type(layer_plan)(
+            **{**layer_plan.__dict__, "dummy_input_rows": layer.features_in - 1}
+        )
+        corrupted = self._flip(golden, [(self._typical_rows(golden, 20)[0], 20)], [30])
+        assert self._estimate(wide_dense, corrupted, plan=short_plan) is None

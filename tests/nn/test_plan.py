@@ -29,6 +29,7 @@ from repro.nn import (
     compile_plan,
 )
 import repro.nn.model
+import repro.nn.plan
 from repro.nn.model import PLAN_CACHE_SIZE
 from repro.nn.plan import certify_fusion, plan_weight_fingerprint
 from repro.zoo import network_table
@@ -214,6 +215,70 @@ class TestPlanCacheAndInvalidation:
         assert model.revalidate_plans() == 1
         assert len(model._plan_cache) == 0
         assert_bit_identical(model, inputs)
+
+    def test_revalidation_sweep_hashes_each_layer_once(self, monkeypatch):
+        # 32 cached plans, half compiled before and half after one dense
+        # weight changed; restoring the golden bytes keeps the first half.
+        model = Sequential(
+            [
+                Conv2D(4, 3, padding="valid", seed=1, name="c"),
+                Bias(name="cb", seed=2),
+                ReLU(name="r"),
+                Flatten(name="f"),
+                Dense(5, seed=3, name="d"),
+                Bias(name="db", seed=4),
+            ]
+        )
+        model.build((6, 6, 2))
+        model.plan_cache_size = 32
+        dense = model.get_layer("d")
+        golden = dense.get_weights()
+        changed = golden.copy()
+        changed.flat[3] += 1.0
+        for batch in range(1, 17):
+            if batch == 9:
+                dense.set_weights(changed)
+            model.compile_plan(batch, fused=False)
+            model.compile_plan(batch, fused=True)
+        assert len(model._plan_cache) == 32
+        layers = [layer for layer in model.layers if layer.has_parameters]
+        calls = []
+
+        def counting(weights):
+            calls.append(weights.shape)
+            return plan_weight_fingerprint(weights)
+
+        def sweep() -> tuple[set, int]:
+            # What a sweep hashing every plan on its own would keep.
+            expected = {
+                key for key, plan in model._plan_cache.items() if plan.fingerprints_match()
+            }
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.nn.plan, "plan_weight_fingerprint", counting)
+                dropped = model.revalidate_plans()
+            assert set(model._plan_cache) == expected
+            return expected, dropped
+
+        dense.set_weights(golden)  # bit-exact restore
+        kept, dropped = sweep()
+        assert dropped == 16
+        assert kept == {(batch, fused) for batch in range(1, 9) for fused in (False, True)}
+        assert len(calls) == len(layers)
+
+        model.get_layer("db").set_weights(model.get_layer("db").get_weights() + 1.0)
+        kept, dropped = sweep()
+        assert (kept, dropped) == (set(), 16)
+        assert 0 < len(calls) <= len(layers)
+
+        # The slices of a sliced plan share one memo as well.
+        sliced = compile_plan(model, 256, fused=True, slice_workers=3)
+        assert len(sliced.slice_sizes) == 3
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.nn.plan, "plan_weight_fingerprint", counting)
+            assert sliced.fingerprints_match()
+        assert len(calls) == len(layers)
 
     def test_training_path_bypasses_plans(self):
         model = self._model()

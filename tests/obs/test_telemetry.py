@@ -72,8 +72,30 @@ class TestTelemetryHooks:
             "repro_repair_seconds",
             buckets=telemetry.config.latency_buckets,
             model="m",
+            strategy="solver_snap",
+            layer="3",
         )
         assert hist.count == 1
+
+    def test_repair_seconds_exposed_per_strategy_and_layer(self):
+        telemetry = Telemetry()
+        telemetry.repair_attempt("m", 3, 1.0, 1.5, "checkpoint_free", 1, True)
+        telemetry.repair_attempt("m", 7, 2.0, 2.25, "residual_estimate", 1, True)
+        telemetry.repair_attempt("m", 7, 3.0, 3.5, "residual_estimate", 2, True)
+        text = telemetry.metrics.exposition()
+        assert (
+            'repro_repair_seconds_count{layer="3",model="m",strategy="checkpoint_free"} 1'
+            in text
+        )
+        assert (
+            'repro_repair_seconds_count{layer="7",model="m",strategy="residual_estimate"} 2'
+            in text
+        )
+        assert (
+            'repro_repair_seconds_sum{layer="7",model="m",strategy="residual_estimate"} 0.75'
+            in text
+        )
+        assert text.count("# TYPE repro_repair_seconds histogram") == 1
 
     def test_degraded_counted_and_chain_left_open(self):
         telemetry = Telemetry()

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+import repro.core.repair
+from repro.core import MILRConfig, MILRProtector
 from repro.core.checkpoint import weight_fingerprint
+from repro.core.handlers import handler_for
+from repro.crc.crc32 import crc8_bytes
 from repro.crc.twod import TwoDimensionalCRC
 from repro.core.repair import (
+    MAX_CRC_SUSPECTS,
     crc_guided_kernel_repair,
     estimate_guided_repair,
     snap_to_bit_flips,
     sparse_bias_repair,
     sparse_kernel_repair,
 )
+from repro.nn import Conv2D, Sequential
 
 
 def _flip(values: np.ndarray, index: int, bit: int) -> np.ndarray:
@@ -171,6 +178,72 @@ class TestCRCGuidedRepair:
         repaired, complete = crc_guided_kernel_repair(golden.copy(), codes, crc)
         assert complete
         assert np.array_equal(repaired.view(np.uint32), golden.view(np.uint32))
+
+
+class TestCRCGuidedRepairBudget:
+    """The CRC-guided search refuses corruption too wide for its codes."""
+
+    @pytest.fixture
+    def protected_conv(self):
+        # block2_conv's shape in mnist_reduced: a 3x3x8x8 kernel, CRC-8 groups of 4.
+        model = Sequential([Conv2D(8, 3, padding="valid", seed=5, name="c")])
+        model.build((8, 8, 8))
+        protector = MILRProtector(model, MILRConfig(always_store_conv_crc=True))
+        protector.initialize()
+        layer = model.get_layer("c")
+        golden = layer.get_weights()
+
+        def repair(corrupted):
+            return handler_for(layer, 0).checkpoint_free_repair(
+                layer,
+                protector.plan.plan_for(0),
+                corrupted,
+                weight_fingerprint(golden),
+                protector.store,
+                protector.config,
+            )
+
+        return golden, repair
+
+    @pytest.fixture
+    def crc_calls(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(1)
+            return crc8_bytes(data)
+
+        monkeypatch.setattr(repro.core.repair, "crc8_bytes", counting)
+        return calls
+
+    def test_garbled_kernel_is_refused_before_any_candidate(
+        self, protected_conv, crc_calls, rng
+    ):
+        golden, repair = protected_conv
+        words = golden.view(np.uint32).ravel().copy()
+        garbled = rng.choice(words.size, size=64, replace=False)
+        words[garbled] ^= rng.integers(1, 2**32, size=64, dtype=np.uint64).astype(np.uint32)
+        assert repair(words.view(np.float32).reshape(golden.shape)) is None
+        assert crc_calls == []
+
+    def test_single_flip_still_repairs_bit_exact(self, protected_conv, crc_calls):
+        golden, repair = protected_conv
+        repaired = repair(_flip(golden, 100, 27))
+        assert repaired is not None
+        assert np.array_equal(repaired.view(np.uint32), golden.view(np.uint32))
+        assert crc_calls
+
+    def test_budget_applies_to_the_first_localization(self, rng):
+        crc = TwoDimensionalCRC(group_size=4, crc_bits=8)
+        golden = rng.uniform(-1, 1, size=(3, 3, 8, 8)).astype(np.float32)
+        codes = crc.encode_kernel(golden)
+        corrupted = golden.copy()
+        for word in range(0, 4 * (MAX_CRC_SUSPECTS + 1), 4):
+            corrupted = _flip(corrupted, word, 30)
+        assert crc.localize_kernel(corrupted, codes).sum() > MAX_CRC_SUSPECTS
+        repaired, complete = crc_guided_kernel_repair(corrupted, codes, crc)
+        assert not complete
+        assert np.array_equal(repaired.view(np.uint32), corrupted.view(np.uint32))
 
 
 class TestEstimateGuidedRepair:

@@ -121,6 +121,68 @@ class TestScrubber:
         assert bit_identical(entry.model.layers[index].get_weights(), golden)
 
 
+    @staticmethod
+    def _head1_dense(entry) -> int:
+        return next(
+            i for i, layer in enumerate(entry.model.layers) if layer.name == "head1_dense"
+        )
+
+    def test_dense_fault_heals_through_the_residual_repair_without_a_solve(
+        self, sync_service, golden_weights, monkeypatch
+    ):
+        service, entry = sync_service
+        index = self._head1_dense(entry)
+        word = int(np.argmax(np.abs(golden_weights[index])))
+        _corrupt(entry, index, word=word, bit=27)
+
+        def no_solve(*_args, **_kwargs):
+            raise AssertionError("a sparse dense fault must not solve the N x N system")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        service.scrub_now(entry.name)
+        assert entry.is_healthy()
+        assert bit_identical(entry.model.layers[index].get_weights(), golden_weights[index])
+        metrics = service.telemetry.metrics
+        assert metrics.counter(
+            "repro_repair_strategy_success_total", strategy="residual_estimate"
+        ).value == 1
+        assert metrics.counter(
+            "repro_repair_strategy_attempts_total", strategy="solver_snap"
+        ).value == 0
+
+    def test_unverified_residual_estimate_falls_through_to_the_solver(
+        self, sync_service, golden_weights, monkeypatch
+    ):
+        from repro.core.handlers.dense import DenseProtectionHandler
+
+        service, entry = sync_service
+        index = self._head1_dense(entry)
+        word = int(np.argmax(np.abs(golden_weights[index])))
+        _corrupt(entry, index, word=word, bit=27)
+        corrupted = entry.model.layers[index].get_weights()
+        monkeypatch.setattr(
+            DenseProtectionHandler, "checkpoint_free_repair", lambda *_args: None
+        )
+        # An estimate no bit-flip snap can reconcile with the stored words.
+        monkeypatch.setattr(
+            DenseProtectionHandler,
+            "residual_repair_estimate",
+            lambda _self, _layer, _plan, stored, _engine: stored + np.float32(0.5),
+        )
+        with entry.lock:
+            outcome = service.scrubber._repair_layer(entry, index, corrupted)
+        assert outcome.bit_exact
+        assert outcome.strategy == "solver_snap"
+        assert bit_identical(entry.model.layers[index].get_weights(), golden_weights[index])
+        metrics = service.telemetry.metrics
+        assert metrics.counter(
+            "repro_repair_strategy_attempts_total", strategy="residual_estimate"
+        ).value == 1
+        assert metrics.counter(
+            "repro_repair_strategy_success_total", strategy="residual_estimate"
+        ).value == 0
+
+
 class TestFaultPressureDriver:
     def test_inject_once_records_detectable_ground_truth(self, sync_service):
         service, entry = sync_service
